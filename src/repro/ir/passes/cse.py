@@ -108,7 +108,9 @@ class CommonSubexpressionElimination:
 
         pre: list[ir.Stmt] = []
         replacements: dict[object, ir.VarRef] = {}
-        for key in maximal:
+        # First-seen order, not set order: temporaries are numbered
+        # here, so the emitted C must not depend on the hash seed.
+        for key in [k for k in counts if k in maximal]:
             sample = samples[key]
             self._counter += 1
             name = f"cse{self._counter}"

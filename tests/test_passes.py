@@ -5,6 +5,11 @@ semantically (simulated results are unchanged), using small MATLAB
 programs lowered through the real pipeline.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.asip.isa_library import generic_scalar_dsp
@@ -339,6 +344,32 @@ def test_cse_does_not_touch_loads():
                          body=[ir.AssignVar("v", value)])
     CommonSubexpressionElimination().run(func)
     assert isinstance(func.body[0].value, ir.BinOp)
+
+
+_QR_GS_C = """
+import sys
+from repro.compiler import arg, compile_source
+source = open(sys.argv[1]).read()
+sys.stdout.write(compile_source(source, [arg((12, 12))], entry="qr_gs",
+                                processor="vliw_simd_dsp",
+                                use_cache=False).c_source())
+"""
+
+
+def test_cse_temporaries_do_not_depend_on_hash_seed():
+    # CSE numbers its temporaries while walking the repeated
+    # subexpressions; walking a set made qr_gs's C differ between
+    # processes with different string hash seeds.
+    source = Path(__file__).parent.parent / "examples" / "mlab" / "qr_gs.m"
+    outputs = []
+    for hash_seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _QR_GS_C, str(source)], env=env,
+            check=True, capture_output=True, text=True).stdout)
+    assert "cse" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 # ----------------------------------------------------------------------
