@@ -1,0 +1,76 @@
+"""Pins the emitted C and the simulated cycles of the benchmark corpus.
+
+For each of the ten kernels of ``benchmarks/workloads.py`` and four
+builds — the full optimizer on ``generic_scalar_dsp``,
+``vliw_simd_dsp`` and ``wide_simd_dsp``, and
+``CompilerOptions.baseline()`` on ``generic_scalar_dsp`` —
+``emitted_c_goldens.json`` records the sha256 of ``c_source()`` and the
+compiled simulator's cycle total on the kernel's seed-0 inputs.  A
+pass refactor that claims to keep behaviour must keep all 40 entries.
+
+When a change is meant to alter the emitted C, regenerate the file
+with this module's script entry point and review the diff:
+
+    PYTHONPATH=src python tests/test_emitted_c_goldens.py \\
+        > tests/emitted_c_goldens.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.compiler import CompilerOptions, compile_source
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+from workloads import default_workloads  # noqa: E402
+
+GOLDENS = Path(__file__).with_name("emitted_c_goldens.json")
+
+#: build name -> (processor, options factory)
+BUILDS = {
+    "opt/generic_scalar_dsp": ("generic_scalar_dsp", CompilerOptions),
+    "opt/vliw_simd_dsp": ("vliw_simd_dsp", CompilerOptions),
+    "opt/wide_simd_dsp": ("wide_simd_dsp", CompilerOptions),
+    "baseline/generic_scalar_dsp": ("generic_scalar_dsp",
+                                    CompilerOptions.baseline),
+}
+
+KERNELS = {kernel.name: kernel for kernel in default_workloads()}
+
+
+def build_record(kernel_name: str, build: str) -> dict:
+    kernel = KERNELS[kernel_name]
+    processor, options = BUILDS[build]
+    result = compile_source(kernel.source, kernel.arg_types,
+                            entry=kernel.entry, processor=processor,
+                            options=options(), use_cache=False)
+    run = result.simulate(kernel.inputs(0), backend="compiled")
+    return {"c_sha256": hashlib.sha256(
+                result.c_source().encode("utf-8")).hexdigest(),
+            "cycles": run.report.total}
+
+
+def current_table() -> dict:
+    return {f"{name}/{build}": build_record(name, build)
+            for name in KERNELS for build in BUILDS}
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
+@pytest.mark.parametrize("kernel_name", list(KERNELS))
+def test_emitted_c_matches_golden(kernel_name, build):
+    expected = json.loads(GOLDENS.read_text())[f"{kernel_name}/{build}"]
+    assert build_record(kernel_name, build) == expected
+
+
+def test_goldens_cover_exactly_the_corpus():
+    assert set(json.loads(GOLDENS.read_text())) == {
+        f"{name}/{build}" for name in KERNELS for build in BUILDS}
+
+
+if __name__ == "__main__":
+    print(json.dumps(current_table(), indent=1, sort_keys=True))
