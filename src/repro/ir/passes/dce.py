@@ -10,7 +10,8 @@ operands dead in the next round.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import loaded_arrays, used_vars
+from repro.ir.passes.rewrite import (loaded_arrays, read_outside_loop,
+                                     used_vars)
 
 
 class DeadCodeElimination:
@@ -93,32 +94,6 @@ class DeadCodeElimination:
                 index += 1
         return changed
 
-    def _var_used_outside(self, loop: ir.ForRange) -> bool:
-        """Is the loop variable read anywhere outside the loop's body?
-
-        Reads inside another loop that redefines the name as its own
-        induction variable don't count.
-        """
-        name = loop.var
-
-        def count(body: list[ir.Stmt]) -> int:
-            total = 0
-            for stmt in body:
-                if stmt is loop:
-                    continue
-                for expr in ir.statement_exprs(stmt):
-                    for node in ir.walk_expr(expr):
-                        if isinstance(node, ir.VarRef) and \
-                                node.name == name:
-                            total += 1
-                if isinstance(stmt, ir.ForRange) and stmt.var == name:
-                    continue
-                for sub in stmt.substatements():
-                    total += count(sub)
-            return total
-
-        return count(self._func_body) > 0
-
     def _is_pure(self, expr: ir.Expr) -> bool:
         return not any(isinstance(node, ir.IntrinsicCall)
                        for node in ir.walk_expr(expr))
@@ -132,10 +107,6 @@ class DeadCodeElimination:
         holding its final value, so a loop variable read *outside* the
         loop keeps the loop.
         """
-        if self._var_used_outside(loop):
-            return False
-        if not loop.body:
-            return True
         for stmt in ir.walk_statements(loop.body):
             if isinstance(stmt, (ir.Emit, ir.Call, ir.IntrinsicStmt,
                                  ir.Return, ir.Break, ir.Continue,
@@ -148,4 +119,6 @@ class DeadCodeElimination:
                 return False
             if isinstance(stmt, ir.AssignVar) and stmt.name in live_scalars:
                 return False
-        return True
+        # Only now the whole-function walk: almost every loop writes
+        # something live and has already been kept above.
+        return not read_outside_loop(self._func_body, loop, loop.var)

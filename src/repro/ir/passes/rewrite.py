@@ -101,6 +101,30 @@ def stored_arrays(body: list[ir.Stmt]) -> set[str]:
     return names
 
 
+def read_outside_loop(body: list[ir.Stmt], loop: ir.ForRange,
+                      name: str) -> bool:
+    """Is scalar ``name`` read anywhere in ``body`` outside ``loop``?
+
+    ``loop`` itself (bounds and body) is skipped.  Reads in the body of
+    another ``ForRange`` that rebinds ``name`` as its own induction
+    variable don't count: that loop redefines the value before any body
+    use.  Its bounds still do.
+    """
+    for stmt in body:
+        if stmt is loop:
+            continue
+        for expr in ir.statement_exprs(stmt):
+            for node in ir.walk_expr(expr):
+                if isinstance(node, ir.VarRef) and node.name == name:
+                    return True
+        if isinstance(stmt, ir.ForRange) and stmt.var == name:
+            continue
+        for sub in stmt.substatements():
+            if read_outside_loop(sub, loop, name):
+                return True
+    return False
+
+
 def used_vars_expr(expr: ir.Expr, names: set[str]) -> None:
     for node in ir.walk_expr(expr):
         if isinstance(node, ir.VarRef):

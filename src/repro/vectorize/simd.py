@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from repro.asip.model import ProcessorDescription
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import assigned_vars, stored_arrays
+from repro.ir.passes.rewrite import (assigned_vars, read_outside_loop,
+                                     stored_arrays)
 from repro.ir.types import I32, ScalarKind, ScalarType, VectorType
 from repro.observe import remarks as obs_remarks
 
@@ -72,31 +73,12 @@ class SimdVectorizer:
         A loop-local temporary (or the induction variable) that is read
         after the loop would hold the wrong value when the vector main
         loop covers all iterations and the scalar tail never runs.
-        Reads inside a *different* loop that uses ``name`` as its own
-        induction variable don't count — that loop redefines the value
-        before any use.
         """
         # A function output is read by the caller after the loop even
         # when no statement in the body mentions it again.
         if any(p.name == name for p in self._func.outputs):
             return True
-
-        def count(body: list[ir.Stmt]) -> int:
-            total = 0
-            for stmt in body:
-                if stmt is loop:
-                    continue  # the target loop's own body is exempt
-                for expr in ir.statement_exprs(stmt):
-                    for node in ir.walk_expr(expr):
-                        if isinstance(node, ir.VarRef) and node.name == name:
-                            total += 1
-                if isinstance(stmt, ir.ForRange) and stmt.var == name:
-                    continue  # redefined before any body use
-                for sub in stmt.substatements():
-                    total += count(sub)
-            return total
-
-        return count(self._func.body) > 0
+        return read_outside_loop(self._func.body, loop, name)
 
     def _walk(self, body: list[ir.Stmt]) -> bool:
         changed = False

@@ -18,6 +18,7 @@ from repro.ir import nodes as ir
 from repro.ir.builder import lower_program
 from repro.ir.passes.constant_folding import ConstantFolding
 from repro.ir.passes.cse import CommonSubexpressionElimination
+from repro.ir.passes import dce as dce_module
 from repro.ir.passes.dce import DeadCodeElimination
 from repro.ir.passes.licm import LoopInvariantCodeMotion
 from repro.ir.passes.loop_fusion import LoopFusion
@@ -25,7 +26,7 @@ from repro.ir.passes.manager import PassManager, cleanup_pipeline, \
     minimal_pipeline, standard_pipeline
 from repro.ir.passes.propagation import ConstantPropagation
 from repro.ir.printer import format_module
-from repro.ir.types import I32, ScalarKind, ScalarType
+from repro.ir.types import I32, ArrayType, ScalarKind, ScalarType
 from repro.ir.verifier import verify_module
 from repro.semantics.inference import specialize_program
 from repro.semantics.shapes import Shape
@@ -294,6 +295,69 @@ def test_dce_iterates_through_chains():
     assigns = [s for s in ir.walk_statements(module.entry_function.body)
                if isinstance(s, ir.AssignVar)]
     assert len(assigns) == 1  # only y
+
+
+def _dead_loop_then(*later: ir.Stmt) -> ir.IRFunction:
+    """``for k in 0..4: tmp[k] = 0`` with ``tmp`` never read, followed
+    by ``later``; ``y`` is the function's scalar output."""
+    k = ir.VarRef(I32, "k")
+    dead = ir.ForRange("k", ir.Const(I32, 0), ir.Const(I32, 4), 1,
+                       [ir.Store("tmp", k, ir.Const(F64, 0.0))])
+    return ir.IRFunction(name="t", outputs=[ir.Param("y", I32, True)],
+                         locals={"k": I32, "tmp": ArrayType(F64, 1, 4)},
+                         body=[dead, *later])
+
+
+def _loops_left(func: ir.IRFunction) -> int:
+    DeadCodeElimination().run(func)
+    return sum(isinstance(s, ir.ForRange)
+               for s in ir.walk_statements(func.body))
+
+
+def test_dce_keeps_dead_loop_whose_induction_var_is_read_after():
+    func = _dead_loop_then(ir.AssignVar("y", ir.VarRef(I32, "k")))
+    assert _loops_left(func) == 1
+
+
+def test_dce_ignores_reads_inside_a_loop_rebinding_the_var():
+    k = ir.VarRef(I32, "k")
+    rebind = ir.ForRange("k", ir.Const(I32, 0), ir.Const(I32, 3), 1,
+                         [ir.AssignVar("y", k)])
+    func = _dead_loop_then(rebind)
+    assert _loops_left(func) == 1
+    assert func.body == [rebind]
+
+
+def test_dce_counts_reads_in_the_bounds_of_a_rebinding_loop():
+    k = ir.VarRef(I32, "k")
+    rebind = ir.ForRange("k", ir.Const(I32, 0), ir.VarRef(I32, "k"), 1,
+                         [ir.AssignVar("y", k)])
+    assert _loops_left(_dead_loop_then(rebind)) == 2
+
+
+def test_dce_runs_escape_walk_only_for_loops_with_all_writes_dead(
+        monkeypatch):
+    calls = []
+    real = dce_module.read_outside_loop
+
+    def counting(body, loop, name):
+        calls.append(loop)
+        return real(body, loop, name)
+
+    monkeypatch.setattr(dce_module, "read_outside_loop", counting)
+    k = ir.VarRef(I32, "k")
+    live = [ir.ForRange("k", ir.Const(I32, 0), ir.Const(I32, 4), 1,
+                        [ir.Store("y", k, ir.Const(F64, float(n)))])
+            for n in range(200)]
+    func = ir.IRFunction(name="t",
+                         outputs=[ir.Param("y", ArrayType(F64, 1, 4), True)],
+                         locals={"k": I32}, body=live)
+    assert _loops_left(func) == 200
+    assert calls == []
+    # The one loop whose writes are all dead is the one that is walked.
+    dead = _dead_loop_then()
+    assert _loops_left(dead) == 0
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
