@@ -16,9 +16,9 @@ from repro.asip.isa_library import generic_scalar_dsp
 from repro.frontend.parser import parse
 from repro.ir import nodes as ir
 from repro.ir.builder import lower_program
+from repro.ir.passes import dce as dce_module
 from repro.ir.passes.constant_folding import ConstantFolding
 from repro.ir.passes.cse import CommonSubexpressionElimination
-from repro.ir.passes import dce as dce_module
 from repro.ir.passes.dce import DeadCodeElimination
 from repro.ir.passes.licm import LoopInvariantCodeMotion
 from repro.ir.passes.loop_fusion import LoopFusion
@@ -412,8 +412,9 @@ def test_cse_does_not_touch_loads():
 
 _QR_GS_C = """
 import sys
+from pathlib import Path
 from repro.compiler import arg, compile_source
-source = open(sys.argv[1]).read()
+source = Path(sys.argv[1]).read_text()
 sys.stdout.write(compile_source(source, [arg((12, 12))], entry="qr_gs",
                                 processor="vliw_simd_dsp",
                                 use_cache=False).c_source())
