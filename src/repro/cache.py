@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.asip.model import ProcessorDescription
 from repro.observe import trace as obs_trace
 from repro.observe.remarks import ANALYSIS, Remark
+from repro.observe.telemetry import counter_view
 from repro.semantics.types import MType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -72,6 +73,26 @@ _OPTION_FIELDS = ("mode", "scalar_opt", "inline", "simd", "complex_isel",
 #: layout, emitter output, option semantics); skewed entries then read
 #: as counted misses, never as wrong answers.
 CACHE_SCHEMA = "repro-cache-v2"
+
+
+#: ``stats()`` field -> counter name.  A :class:`CompilationCache`
+#: keeps its process-wide tallies under these names and bumps the
+#: ambient session's counter of the same name with every event, so the
+#: per-run report sections (:mod:`repro.observe.metrics`) and batch
+#: aggregates (:mod:`repro.service.report`) read the same counts back
+#: through this one mapping.
+CACHE_COUNTERS = {
+    "hits": "cache.hit",
+    "misses": "cache.miss",
+    "disk_hits": "cache.disk_hit",
+    "evictions": "cache.evict",
+    "disk_reads": "cache.disk_read",
+    "disk_writes": "cache.disk_write",
+    "disk_write_races": "cache.disk_write_race",
+    "disk_read_errors": "cache.disk_read_error",
+    "disk_write_errors": "cache.disk_write_error",
+    "disk_schema_skews": "cache.disk_schema_skew",
+}
 
 
 def _arg_token(mtype: MType) -> str:
@@ -124,19 +145,17 @@ class CompilationCache:
         self.maxsize = maxsize
         self._entries: "OrderedDict[str, CompilationResult]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.evictions = 0
-        self.disk_reads = 0
-        self.disk_writes = 0
-        self.disk_write_races = 0
-        self.disk_read_errors = 0
-        self.disk_write_errors = 0
-        self.disk_schema_skews = 0
+        #: Counter name (a :data:`CACHE_COUNTERS` value) -> count.
+        self._counts: dict[str, int] = {}
         if cache_dir is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
         self.cache_dir = Path(cache_dir) if cache_dir else None
+
+    def _count(self, name: str, delta: int = 1) -> None:
+        """Count one event here and in the ambient session."""
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + delta
+        obs_trace.current().counter(name, delta)
 
     # -- in-memory layer ----------------------------------------------
 
@@ -147,25 +166,19 @@ class CompilationCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
         if entry is not None:
-            session.counter("cache.hit")
+            self._count("cache.hit")
             session.observe("cache.mem_hit_s", time.perf_counter() - t0)
             return entry
         t1 = time.perf_counter()
         entry = self._disk_get(key)
         if entry is not None:
-            with self._lock:
-                self.hits += 1
-                self.disk_hits += 1
-            session.counter("cache.hit")
-            session.counter("cache.disk_hit")
+            self._count("cache.hit")
+            self._count("cache.disk_hit")
             session.observe("cache.disk_hit_s", time.perf_counter() - t1)
             self._remember(key, entry)
             return entry
-        with self._lock:
-            self.misses += 1
-        session.counter("cache.miss")
+        self._count("cache.miss")
         session.observe("cache.miss_s", time.perf_counter() - t0)
         return None
 
@@ -180,10 +193,9 @@ class CompilationCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-                self.evictions += 1
                 evicted += 1
         if evicted:
-            obs_trace.current().counter("cache.evict", evicted)
+            self._count("cache.evict", evicted)
 
     # -- disk layer ----------------------------------------------------
 
@@ -206,17 +218,13 @@ class CompilationCache:
             # unlinked, and treated as a miss.
             if not (isinstance(envelope, dict)
                     and envelope.get("schema") == CACHE_SCHEMA):
-                with self._lock:
-                    self.disk_schema_skews += 1
-                obs_trace.current().counter("cache.disk_schema_skew")
+                self._count("cache.disk_schema_skew")
                 try:
                     path.unlink()
                 except OSError:
                     pass
                 return None
-            with self._lock:
-                self.disk_reads += 1
-            obs_trace.current().counter("cache.disk_read")
+            self._count("cache.disk_read")
             return envelope["result"]
         except Exception as exc:
             # A corrupt or version-skewed entry behaves as a miss, but
@@ -255,20 +263,15 @@ class CompilationCache:
                 except OSError:
                     pass
                 raise
-            with self._lock:
-                self.disk_writes += 1
-                if raced:
-                    # Another worker published this key first; the
-                    # pipeline is deterministic so replacing is
-                    # harmless, but the duplicated compile is contention
-                    # worth surfacing in batch reports.
-                    self.disk_write_races += 1
-            session = obs_trace.current()
-            session.counter("cache.disk_write")
-            session.observe("cache.disk_write_s",
-                            time.perf_counter() - t0)
+            self._count("cache.disk_write")
+            obs_trace.current().observe("cache.disk_write_s",
+                                        time.perf_counter() - t0)
             if raced:
-                session.counter("cache.disk_write_race")
+                # Another worker published this key first; the
+                # pipeline is deterministic so replacing is harmless,
+                # but the duplicated compile is contention worth
+                # surfacing in batch reports.
+                self._count("cache.disk_write_race")
         except Exception as exc:
             # Disk persistence is best-effort (the in-memory entry
             # already satisfies this process) but the failure is
@@ -276,16 +279,10 @@ class CompilationCache:
             self._disk_error("write", path, exc)
 
     def _disk_error(self, kind: str, path: Path, exc: Exception) -> None:
-        """Record one disk-layer failure in the cache's own stats, the
-        ambient trace session's counters, and an analysis remark."""
-        with self._lock:
-            if kind == "read":
-                self.disk_read_errors += 1
-            else:
-                self.disk_write_errors += 1
-        session = obs_trace.current()
-        session.counter(f"cache.disk_{kind}_error")
-        session.remark(Remark(
+        """Record one disk-layer failure in the cache's counts (and the
+        ambient session's) plus an analysis remark."""
+        self._count(f"cache.disk_{kind}_error")
+        obs_trace.current().remark(Remark(
             kind=ANALYSIS, pass_name="cache",
             message=f"disk cache {kind} failed for {path.name}: "
                     f"{type(exc).__name__}: {exc}"))
@@ -295,11 +292,7 @@ class CompilationCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.hits = self.misses = self.disk_hits = self.evictions = 0
-            self.disk_reads = self.disk_writes = 0
-            self.disk_write_races = 0
-            self.disk_read_errors = self.disk_write_errors = 0
-            self.disk_schema_skews = 0
+            self._counts.clear()
 
     def __len__(self) -> int:
         # Same lock as every other accessor: an unlocked read could
@@ -318,16 +311,8 @@ class CompilationCache:
 
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "disk_hits": self.disk_hits,
-                    "evictions": self.evictions,
-                    "disk_reads": self.disk_reads,
-                    "disk_writes": self.disk_writes,
-                    "disk_write_races": self.disk_write_races,
-                    "disk_read_errors": self.disk_read_errors,
-                    "disk_write_errors": self.disk_write_errors,
-                    "disk_schema_skews": self.disk_schema_skews,
-                    "size": len(self._entries)}
+            return dict(counter_view(self._counts, CACHE_COUNTERS),
+                        size=len(self._entries))
 
 
 _default_cache = CompilationCache()

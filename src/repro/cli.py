@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random seed for --simulate inputs")
     parser.add_argument("--backend",
                         choices=["compiled", "reference", "native", "all"],
-                        default=None,
+                        default="compiled",
                         help="execution backend for --simulate: 'compiled' "
                              "(default; one-time translation, fast), "
                              "'reference' (tree-walking interpreter), "
@@ -343,8 +343,8 @@ def _simulate(result, source: str, specs, options):
     print(f"entry: {result.entry_name} on {result.processor.name} "
           f"(seed {options.seed})")
     if options.profile:
-        backend = options.backend or "compiled"
-        print(f"simulation wall time ({backend}): {sim_wall * 1e3:.2f} ms")
+        print(f"simulation wall time ({options.backend}): "
+              f"{sim_wall * 1e3:.2f} ms")
     if options.backend == "native":
         # The native tier runs the emitted C at host speed; it has no
         # cycle model, so report execution facts instead of cycles.

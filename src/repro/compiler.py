@@ -22,11 +22,7 @@ processor model.
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.asip.isa_library import load_processor
 from repro.asip.model import ProcessorDescription
@@ -91,25 +87,7 @@ SIM_BACKENDS = ("compiled", "reference", "native")
 #: a dlopened library) or shared through the compilation cache's disk
 #: layer.
 _RUNTIME_ATTRS = ("_compiled_program", "_compiled_program_profiled",
-                  "_native_programs", "_sim_runs", "_trace")
-
-#: Bound on the per-result (args, backend) -> ExecutionResult store
-#: that backs :meth:`CompilationResult.instruction_mix` reuse.
-_SIM_RUN_LIMIT = 8
-
-
-def _args_signature(args: list[object]) -> tuple:
-    """Cheap value-identity token for one simulate() argument list."""
-    parts = []
-    for value in args:
-        if isinstance(value, (bool, int, float, complex, np.generic)):
-            parts.append(("s", type(value).__name__, repr(value)))
-            continue
-        array = np.asarray(value)
-        digest = hashlib.sha256(
-            np.ascontiguousarray(array).tobytes()).hexdigest()
-        parts.append(("a", array.shape, array.dtype.str, digest))
-    return tuple(parts)
+                  "_native_programs", "_trace")
 
 
 @dataclass
@@ -185,17 +163,7 @@ class CompilationResult:
             programs[cc] = program
         return program
 
-    @staticmethod
-    def _resolve_backend(backend: str | None) -> str:
-        if backend is None:
-            backend = os.environ.get("REPRO_SIM_BACKEND", "compiled")
-        if backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown simulator backend {backend!r}; "
-                f"expected one of {SIM_BACKENDS}")
-        return backend
-
-    def simulate(self, args: list[object], backend: str | None = None,
+    def simulate(self, args: list[object], backend: str = "compiled",
                  hotspots: bool = False):
         """Run on the cycle-accurate ASIP model; returns ExecutionResult.
 
@@ -207,19 +175,20 @@ class CompilationResult:
                 (the tree-walking interpreter), or ``"native"`` (the
                 emitted C compiled once to a shared object and called
                 in-process — host-hardware speed, but no cycle
-                accounting: the returned report is empty).  The default
-                can be overridden with the ``REPRO_SIM_BACKEND``
-                environment variable.  The two simulator backends
-                produce identical outputs and identical cycle reports;
-                the native tier produces value-identical outputs up to
-                host-libm/printf differences (the fuzz oracle's gcc
-                tolerances).
+                accounting: the returned report is empty).  The two
+                simulator backends produce identical outputs and
+                identical cycle reports; the native tier produces
+                value-identical outputs up to host-libm/printf
+                differences (the fuzz oracle's gcc tolerances).
             hotspots: also record per-source-line cycle attribution
                 (``ExecutionResult.line_cycles`` / ``hotspots()``).
                 Both simulator backends attribute identically; the
                 native tier does not support profiling.
         """
-        backend = self._resolve_backend(backend)
+        if backend not in SIM_BACKENDS:
+            raise ValueError(
+                f"unknown simulator backend {backend!r}; "
+                f"expected one of {SIM_BACKENDS}")
         if backend == "native" and hotspots:
             raise ValueError(
                 "the native backend performs no cycle accounting; "
@@ -243,13 +212,6 @@ class CompilationResult:
         session.event("sim.run", backend=backend, entry=self.entry_name,
                       wall_s=round(span.duration, 6),
                       cycles=result.report.total, span_id=span.id)
-        runs = getattr(self, "_sim_runs", None)
-        if runs is None:
-            runs = {}
-            self._sim_runs = runs
-        runs[(_args_signature(args), backend)] = result
-        while len(runs) > _SIM_RUN_LIMIT:
-            del runs[next(iter(runs))]
         return result
 
     def ir_dump(self) -> str:
@@ -257,35 +219,16 @@ class CompilationResult:
         return format_module(self.module)
 
     def instruction_mix(self, args: list[object],
-                        backend: str | None = None) -> dict[str, int]:
-        """Custom-instruction counts for one input set.
-
-        Reuses a previous :meth:`simulate` result when one was produced
-        from value-identical arguments on the same backend, instead of
-        re-running the whole simulation.  The reuse store is keyed per
-        (argument values, backend) so cache-shared results never serve
-        another caller's run.
-        """
-        backend = self._resolve_backend(backend)
-        key = (_args_signature(args), backend)
-        runs = getattr(self, "_sim_runs", None)
-        run = runs.get(key) if runs is not None else None
-        if run is None:
-            run = self.simulate(args, backend=backend)
-        return run.report.instruction_counts
+                        backend: str = "compiled") -> dict[str, int]:
+        """Custom-instruction counts for one input set (one
+        :meth:`simulate` run)."""
+        return self.simulate(args, backend=backend).report.instruction_counts
 
     def __getstate__(self):
         state = dict(self.__dict__)
         for name in _RUNTIME_ATTRS:
             state.pop(name, None)
         return state
-
-    def __setstate__(self, state):
-        # Disk-cache entries written by older versions predate the
-        # remarks/cache_hits fields; default them on load.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("remarks", [])
-        self.__dict__.setdefault("cache_hits", 0)
 
 
 def compile_source(source: str,

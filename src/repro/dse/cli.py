@@ -198,7 +198,7 @@ def _write_metrics(path: str, result, session) -> None:
         "front_size": len(result.front),
         "baseline_wall_s": round(result.baseline_wall_s, 6),
         "search_wall_s": round(result.search_wall_s, 6),
-        "counters": dict(session.counters),
+        "counters": session.metrics.counters,
         "metrics": {
             "snapshot": session.metrics.snapshot(),
             "summary": session.metrics.summaries(),

@@ -175,7 +175,6 @@ def _run(options, parser) -> int:
                                 harness=options.harness)
     failures: list[dict] = []
     seen_buckets: set[str] = set()
-    shard_counters: dict[str, int] = {}
     shard_metrics: "dict | None" = None
 
     with obs_trace.use(session):
@@ -185,7 +184,7 @@ def _run(options, parser) -> int:
             print("engines: (none available beyond the interpreter)")
         if jobs > 1:
             from repro.fuzz.parallel import run_sharded
-            records, shard_counters, _, shard_metrics = run_sharded(
+            records, _, shard_metrics = run_sharded(
                 jobs, options.seed, options.count, options.mode,
                 engines, options.processor, options.cc,
                 options.harness)
@@ -219,13 +218,12 @@ def _run(options, parser) -> int:
                                    oracle, seen_buckets, failures):
                     break
 
-    counters = dict(session.counters)
-    for name, value in shard_counters.items():
-        counters[name] = counters.get(name, 0) + value
     # One registry covering serial work (this process's session) plus
-    # every worker shard — engine-latency histograms merge exactly.
+    # every worker shard — counters and engine-latency histograms merge
+    # exactly.
     registry = session.metrics
     registry.merge(shard_metrics)
+    counters = registry.counters
     programs = counters.get("fuzz.programs", 0)
     summary = {
         "seed": options.seed,

@@ -4,11 +4,12 @@ The differential oracle is embarrassingly parallel in the seed — each
 program is generated, executed, and judged independently — so
 ``repro-fuzz --jobs N`` slices the seed range into contiguous shards
 and fans them out over a ``ProcessPoolExecutor``.  Each shard returns
-plain data (failure records + counters); the parent merges them **in
-seed order**, so bucket dedup, ``--max-failures`` accounting, and the
-metrics report are byte-equivalent to a serial run over the same
-seeds (modulo the early-stop point, which a parallel run applies after
-the fact to the merged, ordered failure list).
+plain data (failure records + a metrics snapshot carrying its
+counters); the parent merges them **in seed order**, so bucket dedup,
+``--max-failures`` accounting, and the metrics report are
+byte-equivalent to a serial run over the same seeds (modulo the
+early-stop point, which a parallel run applies after the fact to the
+merged, ordered failure list).
 
 Reduction and corpus writing stay in the parent: fresh failures are
 regenerated from their seed (generation is deterministic) and re-judged
@@ -34,7 +35,8 @@ def run_shard(base_seed: int, start: int, count: int, mode: str,
     """Run programs ``base_seed + start .. + start + count - 1``.
 
     Returns plain data only: per-failure records (with the seed, so the
-    parent can regenerate the program) and the shard's trace counters.
+    parent can regenerate the program) and the shard session's metrics
+    snapshot (counters included).
     """
     from repro.fuzz.generator import ProgramGenerator
     from repro.fuzz.oracle import DifferentialOracle
@@ -63,7 +65,6 @@ def run_shard(base_seed: int, start: int, count: int, mode: str,
         "count": count,
         "engines": list(oracle.engines),
         "failures": failures,
-        "counters": dict(session.counters),
         "metrics": session.metrics.snapshot(),
     }
 
@@ -71,14 +72,15 @@ def run_shard(base_seed: int, start: int, count: int, mode: str,
 def run_sharded(jobs: int, base_seed: int, count: int, mode: str,
                 engines: "list[str] | None", processor: str,
                 cc: str, harness: str = "native") \
-        -> "tuple[list[dict], dict, list[str], dict]":
+        -> "tuple[list[dict], list[str], dict]":
     """Fan the seed range out over ``jobs`` workers.
 
-    Returns ``(failures_in_seed_order, merged_counters, engines,
+    Returns ``(failures_in_seed_order, engines,
     merged_metrics_snapshot)``.  The metrics snapshot is the
     associative merge of every shard's registry
-    (:mod:`repro.observe.telemetry`), so engine-latency histograms
-    aggregate exactly as a serial run would have recorded them.
+    (:mod:`repro.observe.telemetry`), so counters and engine-latency
+    histograms aggregate exactly as a serial run would have recorded
+    them.
     """
     shard_count = max(1, min(jobs * _SHARDS_PER_WORKER, count))
     bounds = []
@@ -90,7 +92,6 @@ def run_sharded(jobs: int, base_seed: int, count: int, mode: str,
             bounds.append((start, size))
         start += size
 
-    merged_counters: dict[str, int] = {}
     failures: list[dict] = []
     shard_engines: list[str] = []
     registry = MetricsRegistry()
@@ -103,9 +104,6 @@ def run_sharded(jobs: int, base_seed: int, count: int, mode: str,
         for shard in shards:  # map() preserves submission order
             shard_engines = shard["engines"]
             failures.extend(shard["failures"])
-            for name, value in shard["counters"].items():
-                merged_counters[name] = \
-                    merged_counters.get(name, 0) + value
-            registry.merge(shard.get("metrics"))
+            registry.merge(shard["metrics"])
     failures.sort(key=lambda f: f["seed"])
-    return failures, merged_counters, shard_engines, registry.snapshot()
+    return failures, shard_engines, registry.snapshot()

@@ -38,6 +38,7 @@ from pathlib import Path
 from repro.backend.harness import LINK_FLAGS, STRICT_FLAGS
 from repro.errors import BackendError
 from repro.observe import trace as obs_trace
+from repro.observe.telemetry import counter_view
 
 #: Compile flags for the shared object: the same strict-ANSI contract
 #: the exec harness enforces, but optimized for execution speed and
@@ -50,6 +51,18 @@ SO_COMPILE_FLAGS = [*STRICT_FLAGS, "-O2", "-fPIC", "-shared"]
 #: stale on-disk artifacts from older versions can never be dlopened
 #: against a newer caller.
 _ABI_TAG = "repro-native-abi-v1"
+
+#: ``stats()`` field -> counter name, the native twin of
+#: :data:`repro.cache.CACHE_COUNTERS`.  ``cache_hits`` counts every
+#: request served without a build; ``disk_hits`` is the subset served
+#: from a published ``.so`` rather than the loaded-library table.
+NATIVE_COUNTERS = {
+    "builds": "native.build",
+    "cache_hits": "native.cache_hit",
+    "disk_hits": "native.disk_hit",
+    "build_errors": "native.build_error",
+    "evictions": "native.evict",
+}
 
 
 def native_cache_key(source: str, cc: str,
@@ -77,11 +90,8 @@ class NativeCache:
         self._explicit_dir = Path(cache_dir) if cache_dir else None
         self._tmp_dir: "tempfile.TemporaryDirectory | None" = None
         self.disk_limit = disk_limit
-        self.builds = 0
-        self.cache_hits = 0
-        self.disk_hits = 0
-        self.build_errors = 0
-        self.evictions = 0
+        #: Counter name (a :data:`NATIVE_COUNTERS` value) -> count.
+        self._counts: dict[str, int] = {}
 
     # -- directory resolution -----------------------------------------
 
@@ -102,6 +112,16 @@ class NativeCache:
     def _so_path(self, key: str) -> Path:
         return self.cache_dir() / key[:2] / f"{key}.so"
 
+    def _count(self, name: str) -> None:
+        """Count one event here and in the ambient session."""
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + 1
+        obs_trace.current().counter(name)
+
+    def _disk_hit(self) -> None:
+        self._count("native.cache_hit")
+        self._count("native.disk_hit")
+
     # -- public --------------------------------------------------------
 
     def load(self, source: str, cc: str = "gcc") -> ctypes.CDLL:
@@ -116,19 +136,14 @@ class NativeCache:
         with self._lock:
             lib = self._loaded.get(key)
         if lib is not None:
-            with self._lock:
-                self.cache_hits += 1
-            session.counter("native.cache_hit")
+            self._count("native.cache_hit")
             return lib
 
         path = self._so_path(key)
         if not path.is_file():
             self._build(source, cc, path)
         else:
-            with self._lock:
-                self.disk_hits += 1
-            session.counter("native.cache_hit")
-            session.counter("native.disk_hit")
+            self._disk_hit()
         with session.span("dlopen", "native", so=path.name) as span:
             try:
                 lib = ctypes.CDLL(str(path))
@@ -158,9 +173,7 @@ class NativeCache:
         key = native_cache_key(source, cc)
         path = self._so_path(key)
         if path.is_file():
-            with self._lock:
-                self.disk_hits += 1
-            obs_trace.current().counter("native.cache_hit")
+            self._disk_hit()
             return False
         self._build(source, cc, path)
         return True
@@ -185,9 +198,7 @@ class NativeCache:
                          "-o", tmp_so, *LINK_FLAGS],
                         capture_output=True, text=True)
                     if proc.returncode != 0:
-                        with self._lock:
-                            self.build_errors += 1
-                        session.counter("native.build_error")
+                        self._count("native.build_error")
                         raise BackendError(
                             "native shared-object build failed:\n"
                             f"{proc.stderr}")
@@ -198,9 +209,7 @@ class NativeCache:
                     except OSError:
                         pass
                     raise
-            with self._lock:
-                self.builds += 1
-            session.counter("native.build")
+            self._count("native.build")
             span.set(so=path.name)
         session.observe("native.build_s", span.duration)
         session.event("native.build", so=path.name, cc=cc,
@@ -217,9 +226,7 @@ class NativeCache:
         for stale in entries[:max(0, len(entries) - self.disk_limit)]:
             try:
                 stale.unlink()
-                with self._lock:
-                    self.evictions += 1
-                obs_trace.current().counter("native.evict")
+                self._count("native.evict")
             except OSError:
                 pass
 
@@ -227,12 +234,8 @@ class NativeCache:
 
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {"builds": self.builds,
-                    "cache_hits": self.cache_hits,
-                    "disk_hits": self.disk_hits,
-                    "build_errors": self.build_errors,
-                    "evictions": self.evictions,
-                    "loaded": len(self._loaded)}
+            return dict(counter_view(self._counts, NATIVE_COUNTERS),
+                        loaded=len(self._loaded))
 
 
 _default_cache = NativeCache()

@@ -7,9 +7,11 @@ field is preserved under its old key (``compile``, ``simulation``,
 ``counters``, ``spans``, ``cache``, ``native``), with two changes of
 meaning and two additions:
 
-* ``cache`` / ``native`` are now scoped to **this run** (derived from
-  the session's counter deltas), so two runs in one process no longer
-  bleed statistics into each other's reports;
+* ``cache`` / ``native`` are now scoped to **this run** (the session's
+  counters read through the caches' own field -> counter mappings,
+  :data:`repro.cache.CACHE_COUNTERS` and
+  :data:`repro.native.builder.NATIVE_COUNTERS`), so two runs in one
+  process no longer bleed statistics into each other's reports;
 * ``process`` carries the old process-wide ``cache.stats()`` /
   ``native.stats()`` totals;
 * ``metrics`` carries the session's :class:`MetricsRegistry` snapshot
@@ -29,29 +31,6 @@ import os
 import tempfile
 
 SCHEMA = "repro-observe-report-v2"
-
-#: Cache-stats field -> session counter that accumulates it, used to
-#: scope the report's ``cache`` section to one run's deltas.
-_CACHE_COUNTERS = {
-    "hits": "cache.hit",
-    "misses": "cache.miss",
-    "disk_hits": "cache.disk_hit",
-    "evictions": "cache.evict",
-    "disk_reads": "cache.disk_read",
-    "disk_writes": "cache.disk_write",
-    "disk_write_races": "cache.disk_write_race",
-    "disk_read_errors": "cache.disk_read_error",
-    "disk_write_errors": "cache.disk_write_error",
-}
-
-#: Same mapping for the native artifact cache.
-_NATIVE_COUNTERS = {
-    "builds": "native.build",
-    "cache_hits": "native.cache_hit",
-    "disk_hits": "native.disk_hit",
-    "build_errors": "native.build_error",
-    "evictions": "native.evict",
-}
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -75,13 +54,6 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def scoped_stats(counters: "dict[str, int]",
-                 mapping: "dict[str, str]") -> "dict[str, int]":
-    """Stats-shaped dict rebuilt from one session's counter deltas."""
-    return {field: counters.get(counter, 0)
-            for field, counter in mapping.items()}
-
-
 def build_report(result=None, run=None, session=None) -> dict:
     """Assemble one metrics report.
 
@@ -92,6 +64,8 @@ def build_report(result=None, run=None, session=None) -> dict:
             spans/counters/metrics to include (optional).
     """
     from repro import cache, native
+    from repro.native.builder import NATIVE_COUNTERS
+    from repro.observe.telemetry import counter_view
 
     report: dict = {"schema": SCHEMA}
     if result is not None:
@@ -117,7 +91,7 @@ def build_report(result=None, run=None, session=None) -> dict:
             ]
         report["simulation"] = sim
     if session is not None:
-        report["counters"] = dict(session.counters)
+        report["counters"] = session.metrics.counters
         report["spans"] = [span.to_dict() for span in session.spans]
         report["metrics"] = {
             "snapshot": session.metrics.snapshot(),
@@ -132,9 +106,9 @@ def build_report(result=None, run=None, session=None) -> dict:
     # into each other's reports.
     scope = session if session is not None else \
         (result.trace if result is not None else None)
-    counters = dict(scope.counters) if scope is not None else {}
-    report["cache"] = scoped_stats(counters, _CACHE_COUNTERS)
-    report["native"] = scoped_stats(counters, _NATIVE_COUNTERS)
+    counters = scope.metrics.counters if scope is not None else {}
+    report["cache"] = counter_view(counters, cache.CACHE_COUNTERS)
+    report["native"] = counter_view(counters, NATIVE_COUNTERS)
     report["process"] = {"cache": cache.stats(), "native": native.stats()}
     return report
 

@@ -8,10 +8,11 @@ process boundaries and merges exactly.
 
 Three metric kinds:
 
-* **counters** — monotonically accumulated named integers (the same
-  vocabulary as :class:`~repro.observe.trace.TraceSession` counters;
-  an enabled session mirrors every ``counter()`` call into its
-  registry).
+* **counters** — monotonically accumulated named integers.  This is
+  the one counter store of a :class:`~repro.observe.trace.TraceSession`
+  (``session.counter()`` writes here); caches that keep process-wide
+  tallies name them with the same vocabulary and project them into
+  ``stats()`` fields with :func:`counter_view`.
 * **gauges** — last-known level values.  Gauges merge by ``max``, so
   name them for peaks (``service.queue_depth_peak``) when they must
   aggregate meaningfully across shards.
@@ -287,3 +288,10 @@ def merged(snapshots: "list[dict | None]") -> MetricsRegistry:
     for snapshot in snapshots:
         registry.merge(snapshot)
     return registry
+
+
+def counter_view(counters: "dict[str, int]",
+                 fields: "dict[str, str]") -> "dict[str, int]":
+    """Stats-shaped dict: each field of ``fields`` (field -> counter
+    name) read from ``counters``, 0 when the counter never fired."""
+    return {field: counters.get(name, 0) for field, name in fields.items()}

@@ -4,7 +4,9 @@ A :class:`TraceSession` collects three event streams for one or more
 compilations/simulations:
 
 * **spans** — nested wall-clock intervals (``with session.span(...)``),
-* **counters** — monotonically accumulated named integers,
+* **counters** — monotonically accumulated named integers, kept in
+  the session's :class:`~repro.observe.telemetry.MetricsRegistry`
+  (``session.metrics.counters``),
 * **remarks** — structured optimizer decisions
   (:class:`repro.observe.remarks.Remark`).
 
@@ -120,11 +122,10 @@ class TraceSession:
                  clock=time.perf_counter) -> None:
         self.enabled = enabled
         self.spans: list[Span] = []
-        self.counters: dict[str, int] = {}
         self.remarks: list[Remark] = []
-        #: Aggregated metrics (counters mirror + gauges + latency
-        #: histograms); the substrate behind ``--metrics-prom`` and the
-        #: service's cross-process aggregation.
+        #: The session's counters, gauges and latency histograms (its
+        #: only counter store); the substrate behind ``--metrics-prom``
+        #: and the service's cross-process aggregation.
         self.metrics = MetricsRegistry(enabled=enabled)
         #: Structured event stream (``event()``), exported as JSONL.
         self.events: list[dict] = []
@@ -146,7 +147,6 @@ class TraceSession:
 
     def counter(self, name: str, delta: int = 1) -> None:
         if self.enabled:
-            self.counters[name] = self.counters.get(name, 0) + delta
             self.metrics.counter(name, delta)
 
     def observe(self, name: str, seconds: float) -> None:
@@ -193,7 +193,7 @@ class TraceSession:
                 "args": dict(span.args, span_id=span.id),
             })
         end_us = round(self.elapsed() * 1e6, 3)
-        for name in sorted(self.counters):
+        for name, value in sorted(self.metrics.counters.items()):
             events.append({
                 "name": name,
                 "cat": "counter",
@@ -201,7 +201,7 @@ class TraceSession:
                 "ts": end_us,
                 "pid": 1,
                 "tid": 1,
-                "args": {"value": self.counters[name]},
+                "args": {"value": value},
             })
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 

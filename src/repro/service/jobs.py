@@ -13,6 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from repro.cache import CACHE_COUNTERS
+from repro.observe.telemetry import counter_view
+
 #: Terminal job states.
 #:
 #: * ``ok``       — compiled; ``c_source`` holds the generated C.
@@ -59,7 +62,7 @@ class CompileJob:
     #: Also build the native ``.so`` artifact into the shared native
     #: cache after compiling (benchmark/service pre-warm).  Best-effort:
     #: a missing host C compiler or a build failure is recorded in the
-    #: result's counters, never fails the job.
+    #: result's metrics counters, never fails the job.
     warm_native: bool = False
     #: When set, the worker also runs the compiled entry on
     #: deterministic random inputs drawn from this seed (see
@@ -118,15 +121,12 @@ class JobResult:
     remarks: list = field(default_factory=list)
     #: ``Span.to_dict()`` records from the worker's trace session.
     spans: list = field(default_factory=list)
-    #: Worker trace-session counters accumulated while this job ran.
-    counters: dict = field(default_factory=dict)
-    #: Per-job *delta* of the worker's cache statistics, so summing
-    #: across results gives batch-wide totals that add up.
-    cache: dict = field(default_factory=dict)
     #: ``MetricsRegistry.snapshot()`` of the worker session while this
-    #: job ran (queue-wait/execution histograms, per-layer cache
-    #: latencies...); :class:`~repro.service.report.BatchResult` merges
-    #: them associatively into one batch-wide registry.
+    #: job ran: its counters (the job's only counter store, cache
+    #: events included), queue-wait/execution histograms, per-layer
+    #: cache latencies...; :class:`~repro.service.report.BatchResult`
+    #: merges them associatively into one batch-wide registry.  Empty
+    #: for results the parent synthesized after a crash or stall.
     metrics: dict = field(default_factory=dict)
     #: Structured events from the worker session (JSONL rows after the
     #: parent re-bases and tags them).
@@ -137,6 +137,7 @@ class JobResult:
         return self.status == "ok"
 
     def to_dict(self) -> dict:
+        counters = dict(self.metrics.get("counters", {}))
         return {
             "job_id": self.job_id,
             "status": self.status,
@@ -152,8 +153,9 @@ class JobResult:
             "stage_times_s": dict(self.stage_times),
             "pass_stats": dict(self.pass_stats),
             "remarks": list(self.remarks),
-            "counters": dict(self.counters),
-            "cache": dict(self.cache),
+            "counters": counters,
+            "cache": counter_view(counters, CACHE_COUNTERS)
+            if self.metrics else {},
         }
 
 

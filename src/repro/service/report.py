@@ -4,11 +4,13 @@ Each worker compiles in its own process with its own trace session and
 cache; :class:`BatchResult` merges those observability streams back
 into a single picture:
 
-* **counters** are summed across jobs (plus batch-level counters for
-  job statuses and retries);
-* **cache statistics** are the sum of each job's *delta*, so
-  ``hits + misses`` equals the number of compile attempts that
-  actually ran — the add-up invariant the stress tests assert;
+* **counters** live only in each job's metrics snapshot and are summed
+  by the registry merge below (plus batch-level counters for job
+  statuses and retries);
+* **cache statistics** are read from those merged counters through
+  :data:`repro.cache.CACHE_COUNTERS`, so ``hits + misses`` equals the
+  number of compile attempts that actually ran — the add-up invariant
+  the stress tests assert;
 * **remarks** are concatenated in job submission order, each tagged
   with its job id;
 * **trace spans** are re-based from each worker's private clock onto
@@ -30,7 +32,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.observe.telemetry import MetricsRegistry
+from repro.cache import CACHE_COUNTERS
+from repro.observe.telemetry import MetricsRegistry, counter_view, merged
 from repro.service.jobs import JobResult
 
 BATCH_SCHEMA = "repro-batch-report-v2"
@@ -66,22 +69,18 @@ class BatchResult:
     # -- aggregation ----------------------------------------------------
 
     def counters(self) -> "dict[str, int]":
-        merged: dict[str, int] = {}
-        for result in self.results:
-            for name, value in result.counters.items():
-                merged[name] = merged.get(name, 0) + value
-        for status, count in self.by_status().items():
-            merged[f"batch.jobs_{status}"] = count
-        merged["batch.attempts"] = sum(r.attempts for r in self.results)
-        merged["batch.rebuilds"] = self.rebuilds
-        return merged
+        """The merged registry's counters; ``batch.rebuilds`` is always
+        present (0 for a batch that never rebuilt its pool)."""
+        counters = self.metrics_registry().counters
+        counters.setdefault("batch.rebuilds", self.rebuilds)
+        return counters
 
     def cache_stats(self) -> "dict[str, int]":
-        merged: dict[str, int] = {}
-        for result in self.results:
-            for name, value in result.cache.items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
+        """Compile-cache statistics summed over every job a worker ran
+        (empty when none did)."""
+        if not any(result.metrics for result in self.results):
+            return {}
+        return counter_view(self.counters(), CACHE_COUNTERS)
 
     def remarks(self) -> "list[dict]":
         out: list[dict] = []
@@ -100,13 +99,7 @@ class BatchResult:
         and every histogram's counts — is identical whether the batch
         ran under ``--jobs 1`` or ``--jobs 16``.
         """
-        registry = MetricsRegistry()
-        for result in self.results:
-            if result.metrics:
-                registry.merge(result.metrics)
-        # Only the batch-level counters are added here: every per-job
-        # counter already arrived inside its worker snapshot (adding
-        # self.counters() wholesale would double-count them).
+        registry = merged([result.metrics for result in self.results])
         for status, count in self.by_status().items():
             registry.counter(f"batch.jobs_{status}", count)
         registry.counter("batch.attempts",

@@ -134,7 +134,6 @@ def run_job(job: CompileJob, allow_test_hooks: bool = False) -> JobResult:
     wall_origin = time.time()
     t0 = time.perf_counter()
     session = TraceSession()
-    cache_before = _cache.stats()
 
     result = JobResult(job_id=job.job_id, status="ok",
                        worker_pid=os.getpid(), wall_origin=wall_origin)
@@ -195,11 +194,6 @@ def run_job(job: CompileJob, allow_test_hooks: bool = False) -> JobResult:
                   wall_s=round(result.wall_s, 6))
     result.remarks = [remark.to_dict() for remark in session.remarks]
     result.spans = [span.to_dict() for span in session.spans]
-    result.counters = dict(session.counters)
     result.metrics = session.metrics.snapshot()
     result.events = list(session.events)
-    cache_after = _cache.stats()
-    result.cache = {name: cache_after.get(name, 0) - before
-                    for name, before in cache_before.items()
-                    if name != "size"}
     return result

@@ -297,59 +297,6 @@ def test_generate_header_is_memoized():
     assert generate_header(proc) is generate_header(proc)
 
 
-def test_instruction_mix_reuses_last_simulation():
-    result = compile_source(SRC, args=ARGS)
-    x = np.array([[1.0, 2.0, 3.0, 4.0]])
-    h = np.array([[0.5, 0.25, 0.0, 0.0]])
-    run = result.simulate([x, h])
-    mix = result.instruction_mix([x, h])
-    assert mix is run.report.instruction_counts   # no re-simulation
-    run2 = result.simulate([x * 2, h])            # different values
-    assert result.instruction_mix([x * 2, h]) is \
-        run2.report.instruction_counts
-
-
-def test_instruction_mix_keyed_per_args_not_just_last():
-    """Regression: the reuse store is keyed by argument signature, so an
-    interleaved simulation of other inputs must not force a
-    re-simulation of earlier ones."""
-    result = compile_source(SRC, args=ARGS)
-    x = np.array([[1.0, 2.0, 3.0, 4.0]])
-    h = np.array([[0.5, 0.25, 0.0, 0.0]])
-    run_a = result.simulate([x, h])
-    run_b = result.simulate([x * 2, h])           # different inputs
-    # Both runs stay addressable; neither lookup re-simulates.
-    assert result.instruction_mix([x, h]) is \
-        run_a.report.instruction_counts
-    assert result.instruction_mix([x * 2, h]) is \
-        run_b.report.instruction_counts
-
-
-def test_instruction_mix_keyed_per_backend():
-    """A run recorded by one backend must not satisfy a mix query for
-    the other: the key includes the backend."""
-    result = compile_source(SRC, args=ARGS)
-    x = np.array([[1.0, 2.0, 3.0, 4.0]])
-    h = np.array([[0.5, 0.25, 0.0, 0.0]])
-    ref_run = result.simulate([x, h], backend="reference")
-    mix = result.instruction_mix([x, h], backend="compiled")
-    assert mix is not ref_run.report.instruction_counts
-    assert mix == ref_run.report.instruction_counts  # same semantics
-    # And the reference-backend entry is still there untouched.
-    assert result.instruction_mix([x, h], backend="reference") is \
-        ref_run.report.instruction_counts
-
-
-def test_sim_run_store_is_bounded():
-    from repro.compiler import _SIM_RUN_LIMIT
-
-    result = compile_source(SRC, args=ARGS)
-    h = np.array([[0.5, 0.25, 0.0, 0.0]])
-    for i in range(_SIM_RUN_LIMIT + 3):
-        result.simulate([np.full((1, 4), float(i)), h])
-    assert len(result._sim_runs) == _SIM_RUN_LIMIT
-
-
 # ----------------------------------------------------------------------
 # Cache-hit provenance
 # ----------------------------------------------------------------------

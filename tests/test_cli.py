@@ -276,6 +276,27 @@ def test_metrics_json_report(loop_file, tmp_path, capsys):
     assert any(row["cycles"] > 0 for row in report["simulation"]["hotspots"])
 
 
+def test_sim_backend_env_var_is_ignored(loop_file, tmp_path, capsys,
+                                        monkeypatch):
+    """The execution backend comes from ``--backend`` alone: a
+    ``REPRO_SIM_BACKEND`` environment variable changes nothing."""
+    import json
+
+    metrics_file = tmp_path / "metrics.json"
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "reference")
+    assert main([str(loop_file), "--args", "double:1x32", "--simulate",
+                 "--profile", "--metrics-json", str(metrics_file)]) == 0
+    assert "simulation wall time (compiled)" in capsys.readouterr().out
+    counters = json.loads(metrics_file.read_text())["counters"]
+    assert counters["sim.runs.compiled"] == 1
+    assert "sim.runs.reference" not in counters
+    # A native default would reject --hotspots; the compiled one runs.
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "native")
+    assert main([str(loop_file), "--args", "double:1x32", "--simulate",
+                 "--hotspots"]) == 0
+    assert "hotspots:" in capsys.readouterr().out
+
+
 def test_profile_reports_cache_provenance(loop_file, capsys):
     args = [str(loop_file), "--args", "double:1x32", "--profile",
             "-o", "/dev/null"]

@@ -243,6 +243,6 @@ def test_cache_disk_errors_surface_in_stats_and_counters(tmp_path):
     stats = cache.stats()
     assert stats["disk_read_errors"] == 1
     assert stats["disk_write_errors"] == 1
-    assert session.counters.get("cache.disk_read_error") == 1
-    assert session.counters.get("cache.disk_write_error") == 1
+    assert session.metrics.counters.get("cache.disk_read_error") == 1
+    assert session.metrics.counters.get("cache.disk_write_error") == 1
     assert any("disk cache" in r.message for r in session.remarks)

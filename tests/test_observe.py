@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import requires_gcc
 from repro import cache
 from repro.compiler import arg, compile_source
 from repro.observe import Remark, TraceSession, trace as obs_trace
@@ -75,7 +76,7 @@ def test_counters_accumulate():
     session.counter("cache.hit")
     session.counter("cache.hit")
     session.counter("sim.runs", 3)
-    assert session.counters == {"cache.hit": 2, "sim.runs": 3}
+    assert session.metrics.counters == {"cache.hit": 2, "sim.runs": 3}
 
 
 def test_disabled_session_is_inert_and_allocation_free():
@@ -88,7 +89,7 @@ def test_disabled_session_is_inert_and_allocation_free():
     session.counter("n")
     session.remark(Remark("missed", "p", "m"))
     assert session.spans == []
-    assert session.counters == {}
+    assert session.metrics.counters == {}
     assert session.remarks == []
 
 
@@ -137,8 +138,8 @@ def test_ambient_session_is_isolated_across_threads():
     for thread in threads:
         thread.join()
     assert errors == []
-    assert sessions["a"].counters == {"only.a": 1}
-    assert sessions["b"].counters == {"only.b": 1}
+    assert sessions["a"].metrics.counters == {"only.a": 1}
+    assert sessions["b"].metrics.counters == {"only.b": 1}
 
 
 def test_ambient_session_is_isolated_across_asyncio_tasks():
@@ -163,8 +164,8 @@ def test_ambient_session_is_isolated_across_asyncio_tasks():
         return await asyncio.gather(*tasks)
 
     first, second = asyncio.run(main())
-    assert first.counters == {"task.a": 1}
-    assert second.counters == {"task.b": 1}
+    assert first.metrics.counters == {"task.a": 1}
+    assert second.metrics.counters == {"task.b": 1}
 
 
 def test_remark_helpers_route_to_ambient_session():
@@ -252,8 +253,8 @@ def test_cache_hit_counters_and_provenance():
         second = compile_source(REDUCE, [arg((1, 32))])
     assert second is first
     assert second.cache_hits == 1
-    assert session.counters["cache.miss"] == 1
-    assert session.counters["cache.hit"] == 1
+    assert session.metrics.counters["cache.miss"] == 1
+    assert session.metrics.counters["cache.hit"] == 1
     # Provenance: the cached result keeps the original stage timings.
     assert second.stage_times and "total" in second.stage_times
 
@@ -400,6 +401,76 @@ def test_build_report_shape():
     # The whole report must be JSON-serializable.
     import json
     json.dumps(report)
+
+
+def _assert_counts_agree(session, stats: dict, section: str) -> None:
+    """``stats()`` (less its size/loaded field) equals the report section
+    rebuilt from the session's counters, field for field."""
+    stats = {k: v for k, v in stats.items() if k not in ("size", "loaded")}
+    assert build_report(session=session)[section] == stats
+
+
+def test_compile_cache_stats_agree_with_report(tmp_path):
+    """Every compile-cache event is counted once: the cache's own
+    ``stats()`` and the per-run report section read the same counts."""
+    import pickle
+
+    payload = {"blob": "x" * 64}
+    keys = [c * 64 for c in "abcd"]
+    # Published by another cache, outside the session: a disk hit later.
+    cache.CompilationCache(cache_dir=tmp_path).put(keys[1], payload)
+    store = cache.CompilationCache(maxsize=2, cache_dir=tmp_path)
+    session = TraceSession()
+    with obs_trace.use(session):
+        assert store.get(keys[0]) is None                  # miss
+        store.put(keys[0], payload)
+        _assert_counts_agree(session, store.stats(), "cache")
+        assert store.get(keys[0]) == payload               # memory hit
+        _assert_counts_agree(session, store.stats(), "cache")
+        assert store.get(keys[1]) == payload               # disk hit
+        assert store.stats()["disk_hits"] == 1
+        _assert_counts_agree(session, store.stats(), "cache")
+        skewed = tmp_path / keys[2][:2] / f"{keys[2]}.pkl"
+        skewed.parent.mkdir(parents=True, exist_ok=True)
+        skewed.write_bytes(pickle.dumps({"schema": "repro-cache-v0",
+                                         "result": payload}))
+        assert store.get(keys[2]) is None                  # schema skew
+        assert store.stats()["disk_schema_skews"] == 1
+        _assert_counts_agree(session, store.stats(), "cache")
+        store.put(keys[3], payload)                        # eviction
+        assert store.stats()["evictions"] == 1
+        _assert_counts_agree(session, store.stats(), "cache")
+
+
+@requires_gcc
+def test_native_cache_stats_agree_with_report(tmp_path):
+    """Same agreement for the native artifact cache, where a hit served
+    from a published ``.so`` counts as both a cache hit and a disk
+    hit."""
+    from repro.native import NativeCache
+
+    sources = [f"int repro_probe_{i}(void) {{ return {i}; }}\n"
+               for i in range(3)]
+    # Published by another cache, outside the session: a disk hit later.
+    NativeCache(cache_dir=tmp_path).warm(sources[1])
+    store = NativeCache(cache_dir=tmp_path, disk_limit=2)
+    session = TraceSession()
+    with obs_trace.use(session):
+        store.load(sources[0])                             # build
+        _assert_counts_agree(session, store.stats(), "native")
+        store.load(sources[0])                             # memory hit
+        _assert_counts_agree(session, store.stats(), "native")
+        store.load(sources[1])                             # disk hit
+        assert store.stats()["disk_hits"] == 1
+        assert store.stats()["cache_hits"] == 2
+        _assert_counts_agree(session, store.stats(), "native")
+        assert store.warm(sources[1]) is False             # published
+        assert store.stats()["disk_hits"] == 2
+        assert store.stats()["cache_hits"] == 3
+        _assert_counts_agree(session, store.stats(), "native")
+        assert store.warm(sources[2]) is True              # eviction
+        assert store.stats()["evictions"] == 1
+        _assert_counts_agree(session, store.stats(), "native")
 
 
 def test_build_report_compile_only():
