@@ -85,9 +85,10 @@ SIM_BACKENDS = ("compiled", "reference", "native")
 #: Lazily-built per-result runtime state that must never be pickled
 #: (the compiled program holds exec'd code objects, the native program
 #: a dlopened library) or shared through the compilation cache's disk
-#: layer.
+#: layer.  The memoized C text is cheap to re-emit after a load, so it
+#: stays out of pickles and disk entries too.
 _RUNTIME_ATTRS = ("_compiled_program", "_compiled_program_profiled",
-                  "_native_programs", "_trace")
+                  "_native_programs", "_trace", "_c_text")
 
 
 @dataclass
@@ -121,9 +122,16 @@ class CompilationResult:
 
     def c_source(self, with_main: bool = False) -> str:
         """Generated ANSI C (one translation unit, including intrinsics
-        header content when emitted standalone)."""
+        header content when emitted standalone).  The text without a
+        ``main`` is emitted once per result and memoized."""
         from repro.backend.emitter import emit_c
-        return emit_c(self.module, self.processor, with_main=with_main)
+        if with_main:
+            return emit_c(self.module, self.processor, with_main=True)
+        text = getattr(self, "_c_text", None)
+        if text is None:
+            text = emit_c(self.module, self.processor)
+            self._c_text = text
+        return text
 
     def intrinsics_header(self) -> str:
         from repro.asip.header_gen import generate_header
@@ -194,17 +202,11 @@ class CompilationResult:
                 "the native backend performs no cycle accounting; "
                 "use backend='compiled' or 'reference' for hotspots")
         session = obs_trace.current()
+        if not session.enabled:
+            return self._execute(args, backend, hotspots)
         with session.span("simulate", "sim", backend=backend,
                           entry=self.entry_name) as span:
-            if backend == "compiled":
-                result = self.compiled_program(
-                    profile_lines=hotspots).run(args)
-            elif backend == "native":
-                result = self.native_program().run(args)
-            else:
-                from repro.sim.machine import Simulator
-                result = Simulator(self.module, self.processor,
-                                   profile_lines=hotspots).run(args)
+            result = self._execute(args, backend, hotspots)
             span.set(cycles=result.report.total)
         session.counter("sim.runs")
         session.counter(f"sim.runs.{backend}")
@@ -213,6 +215,16 @@ class CompilationResult:
                       wall_s=round(span.duration, 6),
                       cycles=result.report.total, span_id=span.id)
         return result
+
+    def _execute(self, args: list[object], backend: str, hotspots: bool):
+        """One run on ``backend`` (validated by :meth:`simulate`)."""
+        if backend == "compiled":
+            return self.compiled_program(profile_lines=hotspots).run(args)
+        if backend == "native":
+            return self.native_program().run(args)
+        from repro.sim.machine import Simulator
+        return Simulator(self.module, self.processor,
+                         profile_lines=hotspots).run(args)
 
     def ir_dump(self) -> str:
         from repro.ir.printer import format_module

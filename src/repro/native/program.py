@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ctypes
 import shutil
-import time
 
 import numpy as np
 
@@ -33,50 +32,84 @@ from repro.sim.cost import CycleReport
 from repro.sim.machine import ExecutionResult, coerce_scalar
 
 
-def _marshal_input(slot: Slot, value: object) -> np.ndarray:
-    """One C-layout element buffer for ``value`` (a view when the
-    caller's array already matches dtype and layout)."""
-    if slot.is_array:
-        buf = np.ravel(np.asarray(value), order="F")
-        if buf.size != slot.numel:
+def _array_input(slot: Slot):
+    """The marshaller of one array slot: the flat column-major element
+    buffer for an argument (a view when the caller's array already has
+    the slot's dtype and column-major layout)."""
+    dtype, numel, name = slot.dtype, slot.numel, slot.name
+
+    def marshal(value) -> np.ndarray:
+        buf = np.asarray(value)
+        if buf.dtype != dtype:
+            buf = buf.astype(dtype)
+        buf = buf.ravel(order="F")
+        if buf.size != numel:
             raise SimulationError(
-                f"argument {slot.name!r}: expected {slot.numel} "
+                f"argument {name!r}: expected {numel} "
                 f"elements, got {buf.size}")
-        if buf.dtype != slot.dtype:
-            buf = buf.astype(slot.dtype)
         return buf
-    scalar = coerce_scalar(value, ScalarType(slot.kind))
-    if slot.kind is ScalarKind.BOOL:
-        scalar = int(scalar)
-    return np.full(1, scalar, dtype=slot.dtype)
+    return marshal
 
 
-def _unmarshal_output(slot: Slot, buf: np.ndarray) -> object:
-    """Simulator-identical output value from one filled buffer."""
-    if slot.is_array:
-        shaped = buf.reshape((slot.rows, slot.cols), order="F")
-        if slot.kind is ScalarKind.BOOL:
-            return shaped.astype(np.bool_)
-        return shaped
-    value = buf[0]
-    if slot.kind.is_complex:
-        return complex(value)
+def _scalar_input(slot: Slot):
+    """The marshaller of one scalar slot: a one-element buffer holding
+    the argument coerced the way the simulators coerce it."""
+    dtype, scalar_type = slot.dtype, ScalarType(slot.kind)
+
+    def marshal(value) -> np.ndarray:
+        return np.array([coerce_scalar(value, scalar_type)], dtype=dtype)
+    return marshal
+
+
+def _scalar_output(kind: ScalarKind):
+    """The Python type of a scalar output (the simulators' type)."""
+    if kind.is_complex:
+        return complex
+    if kind is ScalarKind.BOOL:
+        return bool
+    if kind.is_integer:
+        return int
+    return float
+
+
+def _output_converter(slot: Slot):
+    """The function turning one filled output buffer into the value the
+    simulators return for ``slot``."""
+    if not slot.is_array:
+        to_python = _scalar_output(slot.kind)
+        return lambda buf: to_python(buf.item())
+    shape = (slot.rows, slot.cols)
     if slot.kind is ScalarKind.BOOL:
-        return bool(value)
-    if slot.kind.is_integer:
-        return int(value)
-    return float(value)
+        return lambda buf: buf.reshape(shape, order="F").astype(np.bool_)
+    return lambda buf: buf.reshape(shape, order="F")
+
+
+def _address(buf: np.ndarray) -> int:
+    """Address of ``buf``'s first element.  ``c_char.from_buffer`` is
+    about three times cheaper than ``buf.ctypes.data`` but needs a
+    writable, non-empty buffer."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    except (TypeError, ValueError):
+        return buf.ctypes.data
 
 
 class NativeProgram:
-    """Compile-once / call-hot executor for one module's entry point."""
+    """Compile-once / call-hot executor for one module's entry point.
+
+    Everything that depends only on the entry signature (per-slot
+    dtypes, marshallers, output converters and the ctypes pointer-array
+    types) is planned once here, so ``run`` does only per-call work.
+    ``run`` keeps no state between calls: it is reentrant, and the
+    wrapper call releases the GIL.
+    """
 
     def __init__(self, module, processor, cc: str = "gcc", cache=None):
         if shutil.which(cc) is None:
             raise BackendError(
                 f"native backend requires a host C compiler "
                 f"({cc!r} is not on PATH)")
-        self.plan = build_plan(module)
+        self.plan = plan = build_plan(module)
         self.cc = cc
         self.source = native_source(module, processor)
         cache = cache if cache is not None else default_cache()
@@ -85,31 +118,35 @@ class NativeProgram:
         self._fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
                              ctypes.POINTER(ctypes.c_void_p)]
         self._fn.restype = None
-        #: Wall-clock seconds of the most recent dispatch (marshalling
-        #: + the in-process call), for benchmark reporting.
-        self.last_call_s = 0.0
+        self._marshallers = tuple(
+            _array_input(slot) if slot.is_array else _scalar_input(slot)
+            for slot in plan.params)
+        self._out_buffers = tuple((slot.numel, slot.dtype)
+                                  for slot in plan.outputs)
+        self._converters = tuple(_output_converter(slot)
+                                 for slot in plan.outputs)
+        self._in_ptrs = ctypes.c_void_p * max(1, len(plan.params))
+        self._out_ptrs = ctypes.c_void_p * max(1, len(plan.outputs))
 
     def run(self, args: list[object]) -> ExecutionResult:
         """Execute the entry point on ``args`` in-process."""
-        plan = self.plan
-        if len(args) != len(plan.params):
+        marshallers = self._marshallers
+        if len(args) != len(marshallers):
             raise SimulationError(
-                f"{plan.entry}: expected {len(plan.params)} arguments, "
-                f"got {len(args)}")
-        t0 = time.perf_counter()
-        in_bufs = [_marshal_input(slot, value)
-                   for slot, value in zip(plan.params, args)]
-        out_bufs = [np.zeros(slot.numel if slot.is_array else 1,
-                             dtype=slot.dtype)
-                    for slot in plan.outputs]
-        in_ptrs = (ctypes.c_void_p * max(1, len(in_bufs)))(
-            *(buf.ctypes.data for buf in in_bufs))
-        out_ptrs = (ctypes.c_void_p * max(1, len(out_bufs)))(
-            *(buf.ctypes.data for buf in out_bufs))
+                f"{self.plan.entry}: expected {len(marshallers)} "
+                f"arguments, got {len(args)}")
+        in_bufs = [marshal(value)
+                   for marshal, value in zip(marshallers, args)]
+        out_bufs = [np.zeros(numel, dtype)
+                    for numel, dtype in self._out_buffers]
+        in_ptrs = self._in_ptrs()
+        for index, buf in enumerate(in_bufs):
+            in_ptrs[index] = _address(buf)
+        out_ptrs = self._out_ptrs()
+        for index, buf in enumerate(out_bufs):
+            out_ptrs[index] = _address(buf)
         self._fn(in_ptrs, out_ptrs)
-        outputs = [_unmarshal_output(slot, buf)
-                   for slot, buf in zip(plan.outputs, out_bufs)]
-        self.last_call_s = time.perf_counter() - t0
-        session = obs_trace.current()
-        session.counter("native.calls")
+        outputs = [convert(buf)
+                   for convert, buf in zip(self._converters, out_bufs)]
+        obs_trace.current().counter("native.calls")
         return ExecutionResult(outputs=outputs, report=CycleReport())

@@ -260,9 +260,9 @@ class MetricsRegistry:
 
         Exactly associative and order-independent: counters and
         histogram fields are integer sums/mins/maxes, gauges merge by
-        ``max``.
+        ``max``.  A disabled registry stays empty, like its recorders.
         """
-        if other is None:
+        if other is None or not self.enabled:
             return
         if isinstance(other, MetricsRegistry):
             other = other.snapshot()

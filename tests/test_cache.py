@@ -273,6 +273,30 @@ def test_pickled_result_drops_runtime_state():
     assert not hasattr(revived, "_last_sim_result")
 
 
+def test_c_source_memo_is_not_pickled(monkeypatch):
+    from repro.backend import emitter
+
+    result = compile_source(SRC, args=ARGS, use_cache=False)
+    emits = []
+    real_emit = emitter.emit_c
+
+    def counting_emit(*args, **kwargs):
+        emits.append(kwargs.get("with_main", False))
+        return real_emit(*args, **kwargs)
+
+    monkeypatch.setattr(emitter, "emit_c", counting_emit)
+    text = result.c_source()
+    assert result.c_source() is text
+    assert emits == [False]
+    # Only the text without a main is memoized.
+    result.c_source(with_main=True)
+    assert emits == [False, True]
+    revived = pickle.loads(pickle.dumps(result))
+    assert "_c_text" not in vars(revived)
+    assert revived.c_source() == text
+    assert emits == [False, True, False]
+
+
 # ----------------------------------------------------------------------
 # Satellite memoizations
 # ----------------------------------------------------------------------

@@ -4,9 +4,12 @@ For each of the ten kernels of ``benchmarks/workloads.py`` and four
 builds — the full optimizer on ``generic_scalar_dsp``,
 ``vliw_simd_dsp`` and ``wide_simd_dsp``, and
 ``CompilerOptions.baseline()`` on ``generic_scalar_dsp`` —
-``emitted_c_goldens.json`` records the sha256 of ``c_source()`` and the
-compiled simulator's cycle total on the kernel's seed-0 inputs.  A
-pass refactor that claims to keep behaviour must keep all 40 entries.
+``emitted_c_goldens.json`` records the sha256 of ``c_source()``, the
+compiled simulator's cycle total on the kernel's seed-0 inputs, the
+pass pipeline's ``pass_stats`` (change count per pass and rounds per
+function) and the number of loops the SIMD vectorizer reported as
+vectorized.  A pass refactor that claims to keep behaviour must keep
+all 40 entries.
 
 When a change is meant to alter the emitted C, regenerate the file
 with this module's script entry point and review the diff:
@@ -25,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.compiler import CompilerOptions, compile_source
+from repro.observe.remarks import PASSED
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import default_workloads  # noqa: E402
@@ -52,7 +56,12 @@ def build_record(kernel_name: str, build: str) -> dict:
     run = result.simulate(kernel.inputs(0), backend="compiled")
     return {"c_sha256": hashlib.sha256(
                 result.c_source().encode("utf-8")).hexdigest(),
-            "cycles": run.report.total}
+            "cycles": run.report.total,
+            "pass_stats": result.pass_stats,
+            "loops_vectorized": sum(
+                1 for remark in result.remarks
+                if remark.kind == PASSED
+                and remark.pass_name == "simd-vectorize")}
 
 
 def current_table() -> dict:
@@ -70,6 +79,20 @@ def test_emitted_c_matches_golden(kernel_name, build):
 def test_goldens_cover_exactly_the_corpus():
     assert set(json.loads(GOLDENS.read_text())) == {
         f"{name}/{build}" for name in KERNELS for build in BUILDS}
+
+
+def test_goldens_hold_the_compile_corpus_totals():
+    # The optimized vliw_simd_dsp builds are the ones the compile
+    # benchmark counts (its baseline builds run no passes): 50 pass
+    # rounds and 30 vectorized loops over the ten kernels.
+    records = [record for key, record
+               in json.loads(GOLDENS.read_text()).items()
+               if key.endswith("/opt/vliw_simd_dsp")]
+    assert len(records) == len(KERNELS)
+    assert sum(n for record in records
+               for name, n in record["pass_stats"].items()
+               if name.startswith("rounds[")) == 50
+    assert sum(record["loops_vectorized"] for record in records) == 30
 
 
 if __name__ == "__main__":

@@ -121,6 +121,142 @@ def test_native_arity_and_shape_errors():
         program.run(bad)
 
 
+# ---------------------------------------------------------------------------
+# Marshalling contract of the per-program call plan
+
+
+def _native_program(kernel):
+    workload = workload_by_name(kernel)
+    result = compile_source(workload.source, args=workload.arg_types,
+                            entry=workload.entry,
+                            processor="vliw_simd_dsp")
+    return workload, result, result.native_program()
+
+
+def _same_outputs(got, want) -> bool:
+    """Exactly equal in value, Python type, dtype and shape."""
+    if len(got) != len(want):
+        return False
+    for a, b in zip(got, want):
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, np.ndarray):
+            if a.dtype != b.dtype or not np.array_equal(a, b):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+def _reference_buffers(program, args):
+    """Each argument marshalled by the straightforward recipe (ravel
+    column-major, then cast to the slot dtype; scalars through the
+    simulators' coercion), already in the wrapper's buffer form."""
+    from repro.ir.types import ScalarType
+    from repro.sim.machine import coerce_scalar
+
+    buffers = []
+    for slot, value in zip(program.plan.params, args):
+        if slot.is_array:
+            buffers.append(np.ravel(np.asarray(value), order="F")
+                           .astype(slot.dtype))
+        else:
+            buffers.append(coerce_scalar(value, ScalarType(slot.kind)))
+    return buffers
+
+
+@requires_gcc
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_native_input_layouts_marshal_identically(kernel):
+    workload, _, program = _native_program(kernel)
+    args = list(workload.inputs(0))
+    want = program.run(_reference_buffers(program, args)).outputs
+
+    def read_only(value):
+        copy = np.array(value)
+        copy.flags.writeable = False
+        return copy
+
+    variants = {
+        "as given": args,
+        "read-only": [read_only(v) for v in args],
+        "C-ordered": [np.ascontiguousarray(v) for v in args],
+        "F-ordered": [np.asfortranarray(v) for v in args],
+        # float32 slots fed float64 arrays are cast, not rejected.
+        "widened": [v.astype(np.float64) if v.dtype == np.float32 else v
+                    for v in args],
+    }
+    for label, variant in variants.items():
+        assert _same_outputs(program.run(variant).outputs, want), \
+            f"{kernel}: {label} inputs marshal differently"
+
+
+@requires_gcc
+def test_native_outputs_are_fresh_per_call():
+    workload, _, program = _native_program("matmul")
+    first = program.run(list(workload.inputs(0))).outputs
+    kept = [np.array(value, copy=True) for value in first]
+    second = program.run(list(workload.inputs(1))).outputs
+    assert not np.array_equal(first[0], second[0])
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+
+@requires_gcc
+@pytest.mark.parametrize("kernel", ["matmul", "bf_weights"])
+def test_native_program_is_reentrant_across_threads(kernel):
+    import threading
+
+    workload, _, program = _native_program(kernel)
+    inputs = [list(workload.inputs(seed)) for seed in (0, 1)]
+    expected = [program.run(args).outputs for args in inputs]
+    barrier = threading.Barrier(len(inputs))
+    mismatches = [0] * len(inputs)
+
+    def hammer(index: int) -> None:
+        barrier.wait()
+        for _ in range(200):
+            outputs = program.run(inputs[index]).outputs
+            if not _same_outputs(outputs, expected[index]):
+                mismatches[index] += 1
+
+    threads = [threading.Thread(target=hammer, args=(index,))
+               for index in range(len(inputs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert mismatches == [0, 0]
+
+
+@requires_gcc
+def test_native_simulate_telemetry():
+    from repro.observe import trace as obs_trace
+    from repro.observe.trace import TraceSession
+
+    workload, result, _ = _native_program("fir")
+    args = list(workload.inputs(0))
+    session = TraceSession()
+    with obs_trace.use(session):
+        result.simulate(args, backend="native")
+    counters = session.metrics.counters
+    assert counters["sim.runs"] == 1
+    assert counters["sim.runs.native"] == 1
+    histograms = session.metrics.snapshot()["histograms"]
+    assert histograms["sim.native.run_s"]["count"] == 1
+    [span] = [span for span in session.spans if span.name == "simulate"]
+    [event] = [event for event in session.events
+               if event["kind"] == "sim.run"]
+    assert event["span_id"] == span.id != 0
+    assert event["backend"] == "native"
+
+    disabled = obs_trace.current()
+    assert not disabled.enabled
+    before = disabled.metrics.snapshot()
+    result.simulate(args, backend="native")
+    assert disabled.spans == [] and disabled.events == []
+    assert disabled.metrics.snapshot() == before
+
+
 def test_native_missing_compiler_is_backend_error():
     workload = workload_by_name("fir")
     result = compile_source(workload.source, args=workload.arg_types,

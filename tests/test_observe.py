@@ -88,8 +88,13 @@ def test_disabled_session_is_inert_and_allocation_free():
         span.set(anything=1)
     session.counter("n")
     session.remark(Remark("missed", "p", "m"))
+    other = TraceSession()
+    other.counter("n")
+    other.observe("t_s", 0.5)
+    session.metrics.merge(other.metrics)
     assert session.spans == []
     assert session.metrics.counters == {}
+    assert session.metrics.snapshot()["histograms"] == {}
     assert session.remarks == []
 
 

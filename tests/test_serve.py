@@ -75,6 +75,29 @@ def test_roundtrip_then_warm_hit():
     assert counters["serve.cache_hits"] == 1
 
 
+def test_warm_hits_emit_c_once(monkeypatch):
+    from repro.backend import emitter
+
+    with CompileDaemon(workers=1) as daemon:
+        request = CompileRequest(source=FIR, args=FIR_ARGS)
+        miss = daemon.submit(request).wait(120)
+        assert miss.ok and not miss.cached
+        emits = []
+        real_emit = emitter.emit_c
+
+        def counting_emit(*args, **kwargs):
+            emits.append(1)
+            return real_emit(*args, **kwargs)
+
+        monkeypatch.setattr(emitter, "emit_c", counting_emit)
+        hits = [daemon.submit(request) for _ in range(2)]
+        assert [ticket.outcome for ticket in hits] == ["hit", "hit"]
+        replies = [ticket.wait(5) for ticket in hits]
+    assert all(reply.c_source == miss.c_source for reply in replies)
+    # The first hit emits the cached result's C; the second reuses it.
+    assert len(emits) == 1
+
+
 def test_concurrent_identical_requests_compile_exactly_once():
     n = 16
     with CompileDaemon(workers=2, queue_depth=n) as daemon:
