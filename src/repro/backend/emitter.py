@@ -27,8 +27,9 @@ from repro.ir.types import ArrayType, ScalarKind, ScalarType, VectorType
 
 
 def emit_c(module: ir.IRModule, processor: ProcessorDescription,
-           with_main: bool = False, main_body: str | None = None) -> str:
-    """Render the whole module as one self-contained C file."""
+           main_body: str | None = None) -> str:
+    """Render the whole module as one self-contained C file, with
+    ``main_body`` (a ``main`` or another wrapper) appended when given."""
     writer = _CWriter()
     writer.raw(generate_header(processor))
     writer.raw("")
@@ -40,7 +41,7 @@ def emit_c(module: ir.IRModule, processor: ProcessorDescription,
         _FunctionEmitter(writer, func, module,
                          static=not is_entry).emit()
         writer.raw("")
-    if with_main and main_body is not None:
+    if main_body is not None:
         writer.raw(main_body)
     return writer.text()
 

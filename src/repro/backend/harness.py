@@ -145,8 +145,7 @@ def generate_main(module, args: list[object]) -> str:
 
 
 def run_via_gcc(result, args: list[object], cc: str = "gcc",
-                flags: list[str] | None = None,
-                keep_dir: str | None = None) -> list[object]:
+                flags: list[str] | None = None) -> list[object]:
     """Compile the generated C with a host compiler and execute it.
 
     Returns the entry point's outputs as numpy arrays / scalars in
@@ -157,12 +156,10 @@ def run_via_gcc(result, args: list[object], cc: str = "gcc",
     flags = list(DEFAULT_FLAGS if flags is None else flags)
     module = result.module
     main_text = generate_main(module, args)
-    source = emit_c(module, result.processor, with_main=True,
-                    main_body=main_text)
+    source = emit_c(module, result.processor, main_body=main_text)
 
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(keep_dir or tmp)
-        workdir.mkdir(parents=True, exist_ok=True)
+        workdir = Path(tmp)
         c_path = workdir / "generated.c"
         exe_path = workdir / "generated"
         c_path.write_text(source)

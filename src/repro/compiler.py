@@ -120,13 +120,11 @@ class CompilationResult:
         (None on cache-shared or unpickled results)."""
         return getattr(self, "_trace", None)
 
-    def c_source(self, with_main: bool = False) -> str:
+    def c_source(self) -> str:
         """Generated ANSI C (one translation unit, including intrinsics
-        header content when emitted standalone).  The text without a
-        ``main`` is emitted once per result and memoized."""
+        header content when emitted standalone), emitted once per
+        result and memoized."""
         from repro.backend.emitter import emit_c
-        if with_main:
-            return emit_c(self.module, self.processor, with_main=True)
         text = getattr(self, "_c_text", None)
         if text is None:
             text = emit_c(self.module, self.processor)

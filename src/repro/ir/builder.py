@@ -22,8 +22,6 @@ between the two pipelines isolate the paper's contribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import LoweringError, UnsupportedFeatureError
 from repro.frontend import ast_nodes as ast
 from repro.ir import nodes as ir
@@ -53,6 +51,10 @@ _ELEMENTWISE_BINOPS = {
     ".^": "pow", "==": "eq", "~=": "ne", "<": "lt", "<=": "le",
     ">": "gt", ">=": "ge", "&": "land", "|": "lor",
 }
+
+#: Every binary operator on two scalars.
+_SCALAR_BINOPS = {**_ELEMENTWISE_BINOPS, "*": "mul", "/": "div",
+                  "\\": "div", "^": "pow", "&&": "land", "||": "lor"}
 
 #: Builtins scalarizable inside a fused element-wise loop.
 _ELEMENTWISE_MATH = frozenset(
@@ -96,9 +98,19 @@ def _mangle(name: str) -> str:
     return sym
 
 
-@dataclass
-class _LoopContext:
-    break_allowed: bool = True
+def _zero_based(subscript: ir.Expr) -> ir.Expr:
+    """A 1-based ``I32`` MATLAB subscript as a 0-based offset."""
+    return ir.BinOp(I32, op="sub", left=subscript, right=ir.Const(I32, 1))
+
+
+def _i32(value: ir.Expr | int | str) -> ir.Expr:
+    """An ``I32`` operand: an expression as it is, a counter name as a
+    fresh read of it, an integer as a constant."""
+    if isinstance(value, ir.Expr):
+        return value
+    if isinstance(value, str):
+        return ir.VarRef(I32, value)
+    return ir.Const(I32, value)
 
 
 class _FunctionLowerer:
@@ -132,42 +144,61 @@ class _FunctionLowerer:
                     sub.line = self._cur_line
         self._blocks[-1].append(stmt)
 
-    def push_block(self) -> list[ir.Stmt]:
-        block: list[ir.Stmt] = []
-        self._blocks.append(block)
-        return block
+    def push_block(self) -> None:
+        self._blocks.append([])
 
     def pop_block(self) -> list[ir.Stmt]:
-        block = self._blocks.pop()
-        self._popped = block
-        return block
+        return self._blocks.pop()
 
-    def _last_popped(self) -> list[ir.Stmt]:
-        return self._popped or []
+    def temp(self, prefix: str, ir_type: IRType) -> str:
+        """A fresh compiler temporary, declared with ``ir_type``.
 
-    def temp(self, prefix: str = "t") -> str:
+        Temp numbers and declaration order reach the emitted C, so
+        callers allocate in the order the locals should appear."""
         # The leading underscore keeps generated names out of the source
         # namespace: MATLAB identifiers must start with a letter, so no
         # user variable can ever collide with a compiler temporary.  (A
         # reduction counter named `k4` once shadowed a source loop
         # variable of the same name — found by the differential fuzzer.)
         self._temp_counter += 1
-        return f"_{prefix}{self._temp_counter}"
+        name = f"_{prefix}{self._temp_counter}"
+        self.fn.declare(name, ir_type)
+        return name
+
+    def _int_var(self, prefix: str) -> str:
+        """A fresh ``I32`` temporary: a loop counter or an index."""
+        return self.temp(prefix, I32)
+
+    @staticmethod
+    def _for(var: str, stop: ir.Expr | int, body: list[ir.Stmt],
+             start: ir.Expr | int = 0) -> ir.ForRange:
+        """The unit-step counted loop ``for var in [start, stop)``."""
+        return ir.ForRange(var=var, start=_i32(start), stop=_i32(stop),
+                           step=1, body=body)
+
+    @staticmethod
+    def _col_major(row: ir.Expr | int | str, col: ir.Expr | int | str,
+                   rows: int) -> ir.Expr:
+        """The 0-based linear offset of (``row``, ``col``) in a
+        column-major array of ``rows`` rows; a constant when both
+        subscripts are."""
+        if isinstance(row, int) and isinstance(col, int):
+            return ir.Const(I32, row + col * rows)
+        return ir.BinOp(I32, op="add", left=_i32(row),
+                        right=ir.BinOp(I32, op="mul", left=_i32(col),
+                                       right=ir.Const(I32, rows)))
+
+    def _where(self, node: ast.Node) -> str:
+        if self.sprog.source is None:
+            return ""
+        line, col = self.sprog.source.line_col(node.span.start)
+        return f"{self.sprog.source.filename}:{line}:{col}: "
 
     def fail(self, message: str, node: ast.Node) -> None:
-        where = ""
-        if self.sprog.source is not None:
-            line, col = self.sprog.source.line_col(node.span.start)
-            name = self.sprog.source.filename
-            where = f"{name}:{line}:{col}: "
-        raise LoweringError(where + message)
+        raise LoweringError(self._where(node) + message)
 
     def unsupported(self, message: str, node: ast.Node) -> None:
-        where = ""
-        if self.sprog.source is not None:
-            line, col = self.sprog.source.line_col(node.span.start)
-            where = f"{self.sprog.source.filename}:{line}:{col}: "
-        raise UnsupportedFeatureError(where + message)
+        raise UnsupportedFeatureError(self._where(node) + message)
 
     def mtype_of(self, node: ast.Expr) -> MType:
         types = self.spec.node_types.get(id(node))
@@ -241,12 +272,11 @@ class _FunctionLowerer:
                 continue  # string literals never become real variables
             self.fn.declare(ir_name, self.var_ir_type(name))
 
-        body = self.push_block()
+        self.push_block()
         for local_name, in_name in copy_ins:
             self.emit(ir.CopyArray(dst=local_name, src=in_name))
         self.lower_body(func.body)
-        self.pop_block()
-        self.fn.body = body
+        self.fn.body = self.pop_block()
         return self.fn
 
     def _int_loop_vars(self, func: ast.Function, mutated: set[str],
@@ -319,6 +349,12 @@ class _FunctionLowerer:
         for stmt in body:
             self.lower_stmt(stmt)
 
+    def _lower_block(self, body: list[ast.Stmt]) -> list[ir.Stmt]:
+        """``body`` lowered into a block of its own."""
+        self.push_block()
+        self.lower_body(body)
+        return self.pop_block()
+
     def lower_stmt(self, stmt: ast.Stmt) -> None:
         prev_line = self._cur_line
         if self.sprog.source is not None:
@@ -374,8 +410,7 @@ class _FunctionLowerer:
                 # the whole RHS first; writing in place would let later
                 # elements observe already-overwritten ones, so build
                 # into a fresh temporary and copy.
-                temp = self.temp("alias")
-                self.fn.declare(temp, var_type)
+                temp = self.temp("alias", var_type)
                 self._lower_array_into(value, temp, var_type)
                 self.emit(ir.CopyArray(dst=ir_name, src=temp))
                 return
@@ -398,13 +433,15 @@ class _FunctionLowerer:
             return False
         if isinstance(value, ast.UnaryOp):
             return False
-        if isinstance(value, ast.BinaryOp):
-            is_matmul = value.op == "*" \
-                and not self.mtype_of(value.left).is_scalar \
-                and not self.mtype_of(value.right).is_scalar
-            if not is_matmul:
-                return False
+        if isinstance(value, ast.BinaryOp) and not self._is_matmul(value):
+            return False
         return self._reads_variable(value, name)
+
+    def _is_matmul(self, expr: ast.Expr) -> bool:
+        """Is ``expr`` a matrix product of two non-scalars?"""
+        return isinstance(expr, ast.BinaryOp) and expr.op == "*" \
+            and not self.mtype_of(expr.left).is_scalar \
+            and not self.mtype_of(expr.right).is_scalar
 
     def _reads_variable(self, node: object, name: str) -> bool:
         if isinstance(node, ast.Identifier):
@@ -464,10 +501,8 @@ class _FunctionLowerer:
         for target in targets:
             if isinstance(target, ast.Identifier):
                 if target.name == "~":
-                    mtype = self.mtype_of(target)
-                    tmp = self.temp("ignored")
-                    self.fn.declare(tmp, from_mtype(mtype))
-                    names.append(tmp)
+                    names.append(self.temp(
+                        "ignored", from_mtype(self.mtype_of(target))))
                 else:
                     names.append(self.ir_name(target.name))
             else:
@@ -509,26 +544,20 @@ class _FunctionLowerer:
         value_name = self._target_result_names([stmt.targets[0]])[0]
         index_name = (self._target_result_names([stmt.targets[1]])[0]
                       if len(stmt.targets) > 1 else None)
-        best = self.temp("best")
-        best_i = self.temp("besti")
-        self.fn.declare(best, elem)
-        self.fn.declare(best_i, I32)
+        best = self.temp("best", elem)
+        best_i = self._int_var("besti")
         self.emit(ir.AssignVar(best, ir.Load(elem, array=src,
                                              index=ir.Const(I32, 0))))
         self.emit(ir.AssignVar(best_i, ir.Const(I32, 0)))
-        k = self.temp("k")
-        self.fn.declare(k, I32)
-        body = self.push_block()
+        k = self._int_var("k")
         current = ir.Load(elem, array=src, index=ir.VarRef(I32, k))
         op = "lt" if which == "min" else "gt"
         cond = ir.BinOp(ScalarType(ScalarKind.BOOL), op=op, left=current,
                         right=ir.VarRef(elem, best))
         then = [ir.AssignVar(best, current),
                 ir.AssignVar(best_i, ir.VarRef(I32, k))]
-        self.emit(ir.If(condition=cond, then_body=then, else_body=[]))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 1),
-                              stop=ir.Const(I32, n), step=1, body=body))
+        self.emit(self._for(k, n, [ir.If(condition=cond, then_body=then,
+                                         else_body=[])], start=1))
         value_type = self.var_ir_type(stmt.targets[0].name) \
             if isinstance(stmt.targets[0], ast.Identifier) and \
             stmt.targets[0].name != "~" else elem
@@ -560,17 +589,14 @@ class _FunctionLowerer:
                 "array-valued if conditions are not supported; reduce with "
                 "a scalar test first", cond_expr)
         cond = self.as_bool(self.lower_scalar(cond_expr))
-        then_block = self.push_block()
-        self.lower_body(body)
-        self.pop_block()
-        else_block = self.push_block()
+        then_block = self._lower_block(body)
+        self.push_block()
         if index + 1 < len(stmt.branches):
             self._lower_dynamic_if(stmt, index + 1)
         else:
             self.lower_body(stmt.else_body)
-        self.pop_block()
         self.emit(ir.If(condition=cond, then_body=then_block,
-                        else_body=else_block))
+                        else_body=self.pop_block()))
 
     def _stmt_While(self, stmt: ast.While) -> None:
         cond_t = self.mtype_of(stmt.condition)
@@ -587,10 +613,8 @@ class _FunctionLowerer:
                 "while conditions may not contain array operations; "
                 "compute the condition into a scalar variable instead",
                 stmt.condition)
-        body = self.push_block()
-        self.lower_body(stmt.body)
-        self.pop_block()
-        self.emit(ir.While(condition=cond, body=body))
+        self.emit(ir.While(condition=cond,
+                           body=self._lower_block(stmt.body)))
 
     def _stmt_For(self, stmt: ast.For) -> None:
         iterable = stmt.iterable
@@ -604,11 +628,7 @@ class _FunctionLowerer:
             # for v = scalar runs once.
             value = self.lower_scalar(iterable)
             self.emit(ir.AssignVar(var_name, self.coerce(value, var_type)))
-            body = self.push_block()
             self.lower_body(stmt.body)
-            self.pop_block()
-            for inner in body:
-                self.emit(inner)
             return
         if not iter_t.is_vector:
             self.unsupported(
@@ -616,17 +636,13 @@ class _FunctionLowerer:
                 "an index range instead", iterable)
         src = self._materialize(iterable)
         src_type = self._array_type_of(iterable)
-        counter = self.temp("it")
-        self.fn.declare(counter, I32)
-        body = self.push_block()
+        counter = self._int_var("it")
+        self.push_block()
         elem = ScalarType(src_type.elem.kind)
         load = ir.Load(elem, array=src, index=ir.VarRef(I32, counter))
         self.emit(ir.AssignVar(var_name, self.coerce(load, var_type)))
         self.lower_body(stmt.body)
-        self.pop_block()
-        self.emit(ir.ForRange(var=counter, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, src_type.numel), step=1,
-                              body=body))
+        self.emit(self._for(counter, src_type.numel, self.pop_block()))
 
     def _lower_range_for(self, stmt: ast.For, rng: ast.Range, var_name: str,
                          var_type: IRType) -> None:
@@ -654,24 +670,20 @@ class _FunctionLowerer:
                     ir.BinOp(I32, op="add", left=stop_raw,
                              right=ir.Const(I32, bump)), "hi")
             loop_var = var_name if isinstance(var_type, ScalarType) and \
-                var_type.kind is ScalarKind.I32 else self.temp("i")
-            if loop_var != var_name:
-                self.fn.declare(loop_var, I32)
-            body = self.push_block()
+                var_type.kind is ScalarKind.I32 else self._int_var("i")
+            self.push_block()
             if loop_var != var_name:
                 self.emit(ir.AssignVar(
                     var_name,
                     self.coerce(ir.VarRef(I32, loop_var), var_type)))
             self.lower_body(stmt.body)
-            self.pop_block()
             self.emit(ir.ForRange(var=loop_var, start=start, stop=stop,
-                                  step=step, body=body))
+                                  step=step, body=self.pop_block()))
             return
 
         # General (possibly fractional) range: iterate a 0-based counter.
         count = self.mtype_of(rng).shape.numel()
-        counter = self.temp("it")
-        self.fn.declare(counter, I32)
+        counter = self._int_var("it")
         start_v = self._hoist_scalar_value(self.lower_scalar(rng.start), "rs")
         step_expr = self.lower_scalar(rng.step) if rng.step is not None \
             else ir.Const(ScalarType(ScalarKind.F64), 1.0)
@@ -687,10 +699,8 @@ class _FunctionLowerer:
                              left=self.as_i32(ir.MathCall(
                                  f64, name="floor", args=[ratio])),
                              right=ir.Const(I32, 1))
-            count_expr: ir.Expr = self._hoist_scalar_value(trips, "hi")
-        else:
-            count_expr = ir.Const(I32, count)
-        body = self.push_block()
+            count = self._hoist_scalar_value(trips, "hi")
+        self.push_block()
         f64 = ScalarType(ScalarKind.F64)
         position = ir.BinOp(
             f64, op="add", left=start_v,
@@ -699,9 +709,7 @@ class _FunctionLowerer:
                            right=step_v))
         self.emit(ir.AssignVar(var_name, self.coerce(position, var_type)))
         self.lower_body(stmt.body)
-        self.pop_block()
-        self.emit(ir.ForRange(var=counter, start=ir.Const(I32, 0),
-                              stop=count_expr, step=1, body=body))
+        self.emit(self._for(counter, count, self.pop_block()))
 
     def _stmt_Switch(self, stmt: ast.Switch) -> None:
         subject_t = self.mtype_of(stmt.subject)
@@ -713,19 +721,14 @@ class _FunctionLowerer:
 
         def build(index: int) -> list[ir.Stmt]:
             if index >= len(stmt.cases):
-                block = self.push_block()
-                self.lower_body(stmt.otherwise)
-                return self.pop_block()
+                return self._lower_block(stmt.otherwise)
             match, body = stmt.cases[index]
             match_t = self.mtype_of(match)
             if not match_t.is_scalar:
                 self.unsupported("switch cases must be scalar", match)
             cond = ir.BinOp(ScalarType(ScalarKind.BOOL), op="eq",
                             left=subject, right=self.lower_scalar(match))
-            then_block = self.push_block()
-            self.lower_body(body)
-            self.pop_block()
-            return [ir.If(condition=cond, then_body=then_block,
+            return [ir.If(condition=cond, then_body=self._lower_block(body),
                           else_body=build(index + 1))]
 
         for out in build(0):
@@ -766,15 +769,10 @@ class _FunctionLowerer:
                 src = self._materialize(arg)
                 src_type = self._array_type_of(arg)
                 elem = ScalarType(src_type.elem.kind)
-                k = self.temp("k")
-                self.fn.declare(k, I32)
-                body = self.push_block()
-                self.emit(ir.Emit(format="%g ", args=[
-                    ir.Load(elem, array=src, index=ir.VarRef(I32, k))]))
-                self.pop_block()
-                self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                                      stop=ir.Const(I32, src_type.numel),
-                                      step=1, body=body))
+                k = self._int_var("k")
+                self.emit(self._for(k, src_type.numel, [ir.Emit(
+                    format="%g ", args=[ir.Load(
+                        elem, array=src, index=ir.VarRef(I32, k))])]))
                 self.emit(ir.Emit(format="\n", args=[]))
             return
         if name in ("fprintf", "error"):
@@ -871,41 +869,65 @@ class _FunctionLowerer:
 
     def _scalar_UnaryOp(self, expr: ast.UnaryOp) -> ir.Expr:
         operand = self.lower_scalar(expr.operand)
-        result_t = scalar_from_mtype(self.mtype_of(expr))
-        if expr.op == "+":
-            return operand
-        if expr.op == "-":
-            return ir.UnOp(result_t, op="neg",
-                           operand=self.coerce(operand, result_t))
-        return ir.UnOp(result_t, op="lnot", operand=self.as_bool(operand))
+        return self._unop(expr.op, scalar_from_mtype(self.mtype_of(expr)),
+                          operand)
 
     def _scalar_BinaryOp(self, expr: ast.BinaryOp) -> ir.Expr:
         result_t = scalar_from_mtype(self.mtype_of(expr))
         left = self.lower_scalar(expr.left)
         right = self.lower_scalar(expr.right)
         op = expr.op
-        if op in ("&&", "&"):
-            return ir.BinOp(result_t, op="land", left=self.as_bool(left),
-                            right=self.as_bool(right))
-        if op in ("||", "|"):
-            return ir.BinOp(result_t, op="lor", left=self.as_bool(left),
-                            right=self.as_bool(right))
-        if op in ("==", "~=", "<", "<=", ">", ">="):
-            operand_t = self._comparison_operand_type(left, right)
-            return ir.BinOp(result_t, op=_ELEMENTWISE_BINOPS[op],
-                            left=self.coerce(left, operand_t),
-                            right=self.coerce(right, operand_t))
-        ir_op = {"+": "add", "-": "sub", "*": "mul", ".*": "mul",
-                 "/": "div", "./": "div", "^": "pow", ".^": "pow",
-                 "\\": "div", ".\\": "div"}.get(op)
+        ir_op = _SCALAR_BINOPS.get(op)
         if ir_op is None:
             self.unsupported(f"operator {op!r} is not supported on scalars",
                              expr)
         if op in ("\\", ".\\"):
             left, right = right, left
-        return ir.BinOp(result_t, op=ir_op,
-                        left=self.coerce(left, result_t),
+        return self._binop(ir_op, result_t, left, right)
+
+    def _unop(self, op: str, result_t: ScalarType,
+              operand: ir.Expr) -> ir.Expr:
+        if op == "+":
+            return operand
+        if op == "-":
+            return ir.UnOp(result_t, op="neg",
+                           operand=self.coerce(operand, result_t))
+        return ir.UnOp(result_t, op="lnot", operand=self.as_bool(operand))
+
+    def _binop(self, op: str, result_t: ScalarType, left: ir.Expr,
+               right: ir.Expr) -> ir.Expr:
+        """``left op right`` with the operands coerced as ``op`` needs:
+        to a common type for comparisons, to bool for logicals, and to
+        ``result_t`` otherwise."""
+        if op in ("eq", "ne", "lt", "le", "gt", "ge"):
+            operand_t = self._comparison_operand_type(left, right)
+            return ir.BinOp(result_t, op=op,
+                            left=self.coerce(left, operand_t),
+                            right=self.coerce(right, operand_t))
+        if op in ("land", "lor"):
+            return ir.BinOp(result_t, op=op, left=self.as_bool(left),
+                            right=self.as_bool(right))
+        return ir.BinOp(result_t, op=op, left=self.coerce(left, result_t),
                         right=self.coerce(right, result_t))
+
+    def _binary_builtin(self, name: str, result_t: ScalarType,
+                        left: ir.Expr, right: ir.Expr) -> ir.Expr:
+        """One element of a two-argument math builtin."""
+        if name in ("min", "max", "power"):
+            return self._binop("pow" if name == "power" else name,
+                               result_t, left, right)
+        f64 = ScalarType(ScalarKind.F64)
+        return ir.MathCall(result_t, name=name,
+                           args=[self.coerce(left, f64),
+                                 self.coerce(right, f64)])
+
+    def _make_complex(self, result_t: ScalarType, real: ir.Expr,
+                      imag: ir.Expr | None) -> ir.Expr:
+        comp = ScalarType(result_t.kind.real_kind)
+        if imag is None:
+            imag = ir.Const(comp, 0.0)
+        return ir.MakeComplex(result_t, real=self.coerce(real, comp),
+                              imag=self.coerce(imag, comp))
 
     def _comparison_operand_type(self, left: ir.Expr,
                                  right: ir.Expr) -> ScalarType:
@@ -983,18 +1005,11 @@ class _FunctionLowerer:
 
     def _linear_index(self, expr: ast.CallIndex,
                       array_type: ArrayType) -> ir.Expr:
-        args = expr.args
-        if len(args) == 1:
-            sub = self.as_i32(self.lower_scalar(args[0]))
-            return ir.BinOp(I32, op="sub", left=sub, right=ir.Const(I32, 1))
-        row = self.as_i32(self.lower_scalar(args[0]))
-        col = self.as_i32(self.lower_scalar(args[1]))
-        row0 = ir.BinOp(I32, op="sub", left=row, right=ir.Const(I32, 1))
-        col0 = ir.BinOp(I32, op="sub", left=col, right=ir.Const(I32, 1))
-        return ir.BinOp(
-            I32, op="add", left=row0,
-            right=ir.BinOp(I32, op="mul", left=col0,
-                           right=ir.Const(I32, array_type.rows)))
+        subs = [_zero_based(self.as_i32(self.lower_scalar(arg)))
+                for arg in expr.args[:2]]
+        if len(subs) == 1:
+            return subs[0]
+        return self._col_major(subs[0], subs[1], array_type.rows)
 
     # -- scalar builtins --------------------------------------------------
 
@@ -1024,34 +1039,19 @@ class _FunctionLowerer:
 
         if name == "complex":
             real = self.lower_scalar(expr.args[0])
-            f64 = ScalarType(result_t.kind.real_kind)
             imag = self.lower_scalar(expr.args[1]) if len(expr.args) > 1 \
-                else ir.Const(f64, 0.0)
-            return ir.MakeComplex(result_t, real=self.coerce(real, f64),
-                                  imag=self.coerce(imag, f64))
+                else None
+            return self._make_complex(result_t, real, imag)
 
         if builtin.kind == "elemwise":
             arg = self.lower_scalar(expr.args[0])
             return self._math1(name, arg, result_t)
 
-        if builtin.kind == "binary_elemwise":
+        if builtin.kind == "binary_elemwise" or (
+                builtin.kind == "minmax" and len(expr.args) == 2):
             left = self.lower_scalar(expr.args[0])
             right = self.lower_scalar(expr.args[1])
-            if name == "power":
-                return ir.BinOp(result_t, op="pow",
-                                left=self.coerce(left, result_t),
-                                right=self.coerce(right, result_t))
-            f64 = ScalarType(ScalarKind.F64)
-            return ir.MathCall(result_t, name=name,
-                               args=[self.coerce(left, f64),
-                                     self.coerce(right, f64)])
-
-        if builtin.kind == "minmax" and len(expr.args) == 2:
-            left = self.lower_scalar(expr.args[0])
-            right = self.lower_scalar(expr.args[1])
-            return ir.BinOp(result_t, op="min" if name == "min" else "max",
-                            left=self.coerce(left, result_t),
-                            right=self.coerce(right, result_t))
+            return self._binary_builtin(name, result_t, left, right)
 
         if builtin.kind in ("reduction", "minmax", "dot"):
             return self._scalar_reduction(name, expr, result_t)
@@ -1088,46 +1088,32 @@ class _FunctionLowerer:
         src = self._materialize(arg)
         src_type = self._array_type_of(arg)
         elem = ScalarType(src_type.elem.kind)
-        acc = self.temp("acc")
-        self.fn.declare(acc, result_t)
-        k = self.temp("k")
-        self.fn.declare(k, I32)
+        acc = self.temp("acc", result_t)
+        k = self._int_var("k")
         self.emit(ir.AssignVar(acc, ir.Const(result_t, 0.0)))
-        body = self.push_block()
-        load = ir.Load(elem, array=src, index=ir.VarRef(I32, k))
+
+        def load() -> ir.Expr:
+            return ir.Load(elem, array=src, index=ir.VarRef(I32, k))
+
         if elem.is_complex:
             comp = ScalarType(elem.kind.real_kind)
-            re = ir.MathCall(comp, name="real", args=[load])
-            im = ir.MathCall(comp, name="imag",
-                             args=[ir.Load(elem, array=src,
-                                           index=ir.VarRef(I32, k))])
-            term: ir.Expr = ir.BinOp(
+
+            def part(name: str) -> ir.Expr:
+                return ir.MathCall(comp, name=name, args=[load()])
+
+            term: ir.Expr = self.coerce(ir.BinOp(
                 comp, op="add",
-                left=ir.BinOp(comp, op="mul", left=re,
-                              right=ir.MathCall(comp, name="real",
-                                                args=[ir.Load(
-                                                    elem, array=src,
-                                                    index=ir.VarRef(I32,
-                                                                    k))])),
-                right=ir.BinOp(comp, op="mul", left=im,
-                               right=ir.MathCall(comp, name="imag",
-                                                 args=[ir.Load(
-                                                     elem, array=src,
-                                                     index=ir.VarRef(
-                                                         I32, k))])))
-            term = self.coerce(term, result_t)
+                left=ir.BinOp(comp, op="mul", left=part("real"),
+                              right=part("real")),
+                right=ir.BinOp(comp, op="mul", left=part("imag"),
+                               right=part("imag"))), result_t)
         else:
-            value = self.coerce(load, result_t)
-            term = ir.BinOp(result_t, op="mul", left=value,
-                            right=self.coerce(
-                                ir.Load(elem, array=src,
-                                        index=ir.VarRef(I32, k)), result_t))
-        self.emit(ir.AssignVar(acc, ir.BinOp(
-            result_t, op="add", left=ir.VarRef(result_t, acc), right=term)))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, src_type.numel), step=1,
-                              body=self._last_popped()))
+            term = ir.BinOp(result_t, op="mul",
+                            left=self.coerce(load(), result_t),
+                            right=self.coerce(load(), result_t))
+        self.emit(self._for(k, src_type.numel, [ir.AssignVar(acc, ir.BinOp(
+            result_t, op="add", left=ir.VarRef(result_t, acc),
+            right=term))]))
         return ir.MathCall(result_t, name="sqrt",
                            args=[ir.VarRef(result_t, acc)])
 
@@ -1145,47 +1131,31 @@ class _FunctionLowerer:
         if n == 1:
             return ir.Const(result_t, 0.0)
 
-        mu = self.temp("mu")
-        acc = self.temp("acc")
-        k = self.temp("k")
-        self.fn.declare(mu, result_t)
-        self.fn.declare(acc, result_t)
-        self.fn.declare(k, I32)
+        mu = self.temp("mu", result_t)
+        acc = self.temp("acc", result_t)
+        k = self._int_var("k")
+
+        def load() -> ir.Expr:
+            return self.coerce(ir.Load(elem, array=src,
+                                       index=ir.VarRef(I32, k)), result_t)
+
+        def delta() -> ir.Expr:
+            return ir.BinOp(result_t, op="sub", left=load(),
+                            right=ir.VarRef(result_t, mu))
 
         self.emit(ir.AssignVar(mu, ir.Const(result_t, 0.0)))
-        body = self.push_block()
-        load = self.coerce(ir.Load(elem, array=src,
-                                   index=ir.VarRef(I32, k)), result_t)
-        self.emit(ir.AssignVar(mu, ir.BinOp(result_t, op="add",
-                                            left=ir.VarRef(result_t, mu),
-                                            right=load)))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, n), step=1,
-                              body=self._last_popped()))
+        self.emit(self._for(k, n, [ir.AssignVar(mu, ir.BinOp(
+            result_t, op="add", left=ir.VarRef(result_t, mu),
+            right=load()))]))
         self.emit(ir.AssignVar(mu, ir.BinOp(
             result_t, op="mul", left=ir.VarRef(result_t, mu),
             right=ir.Const(result_t, 1.0 / n))))
 
         self.emit(ir.AssignVar(acc, ir.Const(result_t, 0.0)))
-        body = self.push_block()
-        delta = ir.BinOp(result_t, op="sub",
-                         left=self.coerce(
-                             ir.Load(elem, array=src,
-                                     index=ir.VarRef(I32, k)), result_t),
-                         right=ir.VarRef(result_t, mu))
-        delta2 = ir.BinOp(
-            result_t, op="sub",
-            left=self.coerce(ir.Load(elem, array=src,
-                                     index=ir.VarRef(I32, k)), result_t),
-            right=ir.VarRef(result_t, mu))
-        self.emit(ir.AssignVar(acc, ir.BinOp(
+        self.emit(self._for(k, n, [ir.AssignVar(acc, ir.BinOp(
             result_t, op="add", left=ir.VarRef(result_t, acc),
-            right=ir.BinOp(result_t, op="mul", left=delta, right=delta2))))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, n), step=1,
-                              body=self._last_popped()))
+            right=ir.BinOp(result_t, op="mul", left=delta(),
+                           right=delta())))]))
         variance = ir.BinOp(result_t, op="mul",
                             left=ir.VarRef(result_t, acc),
                             right=ir.Const(result_t, 1.0 / (n - 1)))
@@ -1203,21 +1173,14 @@ class _FunctionLowerer:
         src = self._materialize(arg)
         src_type = self._array_type_of(arg)
         elem = ScalarType(src_type.elem.kind)
-        acc = self.temp("acc")
-        k = self.temp("k")
-        self.fn.declare(acc, bool_t)
-        self.fn.declare(k, I32)
+        acc = self.temp("acc", bool_t)
+        k = self._int_var("k")
         self.emit(ir.AssignVar(acc, ir.Const(bool_t, which == "all")))
-        body = self.push_block()
-        load = ir.Load(elem, array=src, index=ir.VarRef(I32, k))
-        nonzero = self.as_bool(load)
+        nonzero = self.as_bool(ir.Load(elem, array=src,
+                                       index=ir.VarRef(I32, k)))
         op = "lor" if which == "any" else "land"
-        self.emit(ir.AssignVar(acc, ir.BinOp(
-            bool_t, op=op, left=ir.VarRef(bool_t, acc), right=nonzero)))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, src_type.numel), step=1,
-                              body=self._last_popped()))
+        self.emit(self._for(k, src_type.numel, [ir.AssignVar(acc, ir.BinOp(
+            bool_t, op=op, left=ir.VarRef(bool_t, acc), right=nonzero))]))
         return ir.VarRef(bool_t, acc)
 
     def _math1(self, name: str, arg: ir.Expr, result_t: ScalarType) -> ir.Expr:
@@ -1262,16 +1225,14 @@ class _FunctionLowerer:
         src_type = self._array_type_of(arg)
         elem = ScalarType(src_type.elem.kind)
         n = src_type.numel
-        acc = self.temp("acc")
         acc_t = result_t
-        self.fn.declare(acc, acc_t)
-        k = self.temp("k")
-        self.fn.declare(k, I32)
+        acc = self.temp("acc", acc_t)
+        k = self._int_var("k")
 
         if name in ("sum", "mean", "prod", "dot"):
             init = 1.0 if name == "prod" else 0.0
             self.emit(ir.AssignVar(acc, ir.Const(acc_t, init)))
-            body = self.push_block()
+            self.push_block()
             load = ir.Load(elem, array=src, index=ir.VarRef(I32, k))
             if name == "dot":
                 other = self._materialize(expr.args[1])
@@ -1289,10 +1250,7 @@ class _FunctionLowerer:
             op = "mul" if name == "prod" else "add"
             self.emit(ir.AssignVar(acc, ir.BinOp(
                 acc_t, op=op, left=ir.VarRef(acc_t, acc), right=term)))
-            self.pop_block()
-            self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                                  stop=ir.Const(I32, n), step=1,
-                                  body=self._last_popped()))
+            self.emit(self._for(k, n, self.pop_block()))
             result: ir.Expr = ir.VarRef(acc_t, acc)
             if name == "mean":
                 result = ir.BinOp(acc_t, op="mul", left=result,
@@ -1303,15 +1261,11 @@ class _FunctionLowerer:
         if name in ("min", "max"):
             self.emit(ir.AssignVar(acc, self.coerce(
                 ir.Load(elem, array=src, index=ir.Const(I32, 0)), acc_t)))
-            body = self.push_block()
             load = self.coerce(ir.Load(elem, array=src,
                                        index=ir.VarRef(I32, k)), acc_t)
-            self.emit(ir.AssignVar(acc, ir.BinOp(
-                acc_t, op=name, left=ir.VarRef(acc_t, acc), right=load)))
-            self.pop_block()
-            self.emit(ir.ForRange(var=k, start=ir.Const(I32, 1),
-                                  stop=ir.Const(I32, n), step=1,
-                                  body=self._last_popped()))
+            self.emit(self._for(k, n, [ir.AssignVar(acc, ir.BinOp(
+                acc_t, op=name, left=ir.VarRef(acc_t, acc), right=load))],
+                start=1))
             return ir.VarRef(acc_t, acc)
 
         self.unsupported(f"reduction {name}() is not supported", expr)
@@ -1320,8 +1274,6 @@ class _FunctionLowerer:
         if acc_t.is_complex:
             return complex(1.0 / n, 0.0)
         return 1.0 / n
-
-    _popped: list[ir.Stmt] | None = None
 
     # ------------------------------------------------------------------
     # Coercions
@@ -1401,8 +1353,7 @@ class _FunctionLowerer:
                 self.spec.final_env.lookup(expr.name) is not None:
             return self.ir_name(expr.name)
         array_type = self._array_type_of(expr)
-        name = self.temp("arr")
-        self.fn.declare(name, array_type)
+        name = self.temp("arr", array_type)
         self._lower_array_into(expr, name, array_type)
         return name
 
@@ -1443,15 +1394,11 @@ class _FunctionLowerer:
             self._lower_transpose(expr, dest, dest_type)
             return
 
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op == "*" and not self.mtype_of(expr.left).is_scalar \
-                    and not self.mtype_of(expr.right).is_scalar:
-                self._lower_matmul(expr, dest, dest_type)
-                return
-            self._emit_elementwise(expr, dest, dest_type)
+        if self._is_matmul(expr):
+            self._lower_matmul(expr, dest, dest_type)
             return
 
-        if isinstance(expr, ast.UnaryOp):
+        if isinstance(expr, (ast.BinaryOp, ast.UnaryOp)):
             self._emit_elementwise(expr, dest, dest_type)
             return
 
@@ -1479,39 +1426,31 @@ class _FunctionLowerer:
         if dest_type.elem == src_type.elem:
             self.emit(ir.CopyArray(dst=dest, src=src))
             return
-        k = self.temp("k")
-        self.fn.declare(k, I32)
-        body = self.push_block()
+        k = self._int_var("k")
         load = ir.Load(ScalarType(src_type.elem.kind), array=src,
                        index=ir.VarRef(I32, k))
-        self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
-                           value=self.coerce(load,
-                                             ScalarType(dest_type.elem.kind))))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, dest_type.numel), step=1,
-                              body=self._last_popped()))
+        self.emit(self._for(k, dest_type.numel, [ir.Store(
+            array=dest, index=ir.VarRef(I32, k),
+            value=self.coerce(load, ScalarType(dest_type.elem.kind)))]))
 
     # -- element-wise fusion ------------------------------------------------
 
     def _emit_elementwise(self, expr: ast.Expr, dest: str,
                           dest_type: ArrayType) -> None:
-        if self.mode == "naive":
+        if self.mode == "naive" and isinstance(expr, (ast.BinaryOp,
+                                                      ast.UnaryOp)):
             self._emit_elementwise_naive(expr, dest, dest_type)
             return
+        # The fused loop; the baseline reaches it only for builtins.
         hoisted: dict[int, ir.Expr] = {}
         self._hoist_scalars(expr, hoisted)
-        k = self.temp("k")
-        self.fn.declare(k, I32)
-        body = self.push_block()
+        k = self._int_var("k")
+        self.push_block()
         value = self._scalarize(expr, ir.VarRef(I32, k), hoisted)
         self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
                            value=self.coerce(value,
                                              ScalarType(dest_type.elem.kind))))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, dest_type.numel), step=1,
-                              body=self._last_popped()))
+        self.emit(self._for(k, dest_type.numel, self.pop_block()))
 
     def _hoist_scalars(self, expr: ast.Expr, hoisted: dict[int, ir.Expr]) -> None:
         """Pre-compute maximal scalar subtrees before the fused loop."""
@@ -1522,9 +1461,7 @@ class _FunctionLowerer:
         if isinstance(expr, ast.BinaryOp):
             self._hoist_scalars(expr.left, hoisted)
             self._hoist_scalars(expr.right, hoisted)
-        elif isinstance(expr, ast.UnaryOp):
-            self._hoist_scalars(expr.operand, hoisted)
-        elif isinstance(expr, ast.Transpose):
+        elif isinstance(expr, (ast.UnaryOp, ast.Transpose)):
             self._hoist_scalars(expr.operand, hoisted)
         elif isinstance(expr, ast.CallIndex):
             kind = self.spec.call_kinds.get(id(expr))
@@ -1541,8 +1478,7 @@ class _FunctionLowerer:
     def _hoist_scalar_value(self, value: ir.Expr, prefix: str) -> ir.Expr:
         if isinstance(value, (ir.Const, ir.VarRef)):
             return value
-        name = self.temp(prefix)
-        self.fn.declare(name, value.type)
+        name = self.temp(prefix, value.type)
         self.emit(ir.AssignVar(name, value))
         return ir.VarRef(value.type, name)
 
@@ -1583,28 +1519,12 @@ class _FunctionLowerer:
             right = self._scalarize(expr.right, k, hoisted)
             if expr.op in ("\\", ".\\"):
                 left, right = right, left
-            if mapped in ("eq", "ne", "lt", "le", "gt", "ge"):
-                operand_t = self._comparison_operand_type(left, right)
-                return ir.BinOp(result_t, op=mapped,
-                                left=self.coerce(left, operand_t),
-                                right=self.coerce(right, operand_t))
-            if mapped in ("land", "lor"):
-                return ir.BinOp(result_t, op=mapped,
-                                left=self.as_bool(left),
-                                right=self.as_bool(right))
-            return ir.BinOp(result_t, op=mapped,
-                            left=self.coerce(left, result_t),
-                            right=self.coerce(right, result_t))
+            return self._binop(mapped, result_t, left, right)
 
         if isinstance(expr, ast.UnaryOp):
             result_t = scalar_from_mtype(self.mtype_of(expr).element_type())
             operand = self._scalarize(expr.operand, k, hoisted)
-            if expr.op == "+":
-                return operand
-            if expr.op == "-":
-                return ir.UnOp(result_t, op="neg",
-                               operand=self.coerce(operand, result_t))
-            return ir.UnOp(result_t, op="lnot", operand=self.as_bool(operand))
+            return self._unop(expr.op, result_t, operand)
 
         if isinstance(expr, ast.Transpose):
             operand_mtype = self.mtype_of(expr.operand)
@@ -1630,30 +1550,14 @@ class _FunctionLowerer:
                     return ir.Cast(result_t, operand=arg)
                 if name == "complex":
                     real = self._scalarize(expr.args[0], k, hoisted)
-                    comp = ScalarType(result_t.kind.real_kind)
-                    if len(expr.args) > 1:
-                        imag = self._scalarize(expr.args[1], k, hoisted)
-                    else:
-                        imag = ir.Const(comp, 0.0)
-                    return ir.MakeComplex(result_t,
-                                          real=self.coerce(real, comp),
-                                          imag=self.coerce(imag, comp))
+                    imag = self._scalarize(expr.args[1], k, hoisted) \
+                        if len(expr.args) > 1 else None
+                    return self._make_complex(result_t, real, imag)
                 if name in ("mod", "rem", "atan2", "hypot", "power", "min",
                             "max") and len(expr.args) == 2:
                     left = self._scalarize(expr.args[0], k, hoisted)
                     right = self._scalarize(expr.args[1], k, hoisted)
-                    if name in ("min", "max"):
-                        return ir.BinOp(result_t, op=name,
-                                        left=self.coerce(left, result_t),
-                                        right=self.coerce(right, result_t))
-                    if name == "power":
-                        return ir.BinOp(result_t, op="pow",
-                                        left=self.coerce(left, result_t),
-                                        right=self.coerce(right, result_t))
-                    f64 = ScalarType(ScalarKind.F64)
-                    return ir.MathCall(result_t, name=name,
-                                       args=[self.coerce(left, f64),
-                                             self.coerce(right, f64)])
+                    return self._binary_builtin(name, result_t, left, right)
             if kind == "index":
                 shifted = self._affine_region_index(expr, k)
                 if shifted is not None:
@@ -1707,109 +1611,44 @@ class _FunctionLowerer:
         array_type = self.fn.local_type(name)
         return ir.Load(ScalarType(array_type.elem.kind), array=name, index=k)
 
-    def _emit_elementwise_naive(self, expr: ast.Expr, dest: str,
-                                dest_type: ArrayType) -> None:
+    def _emit_elementwise_naive(self, expr: ast.BinaryOp | ast.UnaryOp,
+                                dest: str, dest_type: ArrayType) -> None:
         """Baseline lowering: one temporary + one loop per operation."""
-        operands: list[ir.Expr | str] = []
 
-        def operand_of(node: ast.Expr) -> tuple[str | None, ir.Expr | None]:
+        def operand_of(node: ast.Expr) -> ir.Expr | str:
             if self.mtype_of(node).is_scalar:
-                return None, self._hoist_scalar_value(
-                    self.lower_scalar(node), "h")
-            return self._materialize(node), None
+                return self._hoist_scalar_value(self.lower_scalar(node), "h")
+            return self._materialize(node)
 
+        def at(operand: ir.Expr | str, kvar: ir.Expr) -> ir.Expr:
+            if isinstance(operand, str):
+                at_type = self.fn.local_type(operand)
+                return ir.Load(ScalarType(at_type.elem.kind), array=operand,
+                               index=kvar)
+            return operand
+
+        result_t = scalar_from_mtype(self.mtype_of(expr).element_type())
         if isinstance(expr, ast.BinaryOp):
-            left_name, left_scalar = operand_of(expr.left)
-            right_name, right_scalar = operand_of(expr.right)
-            k = self.temp("k")
-            self.fn.declare(k, I32)
-            body = self.push_block()
+            left_operand = operand_of(expr.left)
+            right_operand = operand_of(expr.right)
+            k = self._int_var("k")
             kvar = ir.VarRef(I32, k)
-
-            def side(name, scalar, node):
-                if name is not None:
-                    at = self.fn.local_type(name)
-                    return ir.Load(ScalarType(at.elem.kind), array=name,
-                                   index=kvar)
-                return scalar
-
-            result_t = scalar_from_mtype(self.mtype_of(expr).element_type())
-            left = side(left_name, left_scalar, expr.left)
-            right = side(right_name, right_scalar, expr.right)
-            op = expr.op
-            mapped = _ELEMENTWISE_BINOPS.get(op)
-            if mapped is None:
-                mapped = {"*": "mul", "/": "div", "\\": "div",
-                          "^": "pow"}.get(op, "add")
-            if op in ("\\", ".\\"):
+            left = at(left_operand, kvar)
+            right = at(right_operand, kvar)
+            if expr.op in ("\\", ".\\"):
                 left, right = right, left
-            if mapped in ("eq", "ne", "lt", "le", "gt", "ge"):
-                operand_t = self._comparison_operand_type(left, right)
-                value: ir.Expr = ir.BinOp(result_t, op=mapped,
-                                          left=self.coerce(left, operand_t),
-                                          right=self.coerce(right, operand_t))
-            elif mapped in ("land", "lor"):
-                value = ir.BinOp(result_t, op=mapped,
-                                 left=self.as_bool(left),
-                                 right=self.as_bool(right))
-            else:
-                value = ir.BinOp(result_t, op=mapped,
-                                 left=self.coerce(left, result_t),
-                                 right=self.coerce(right, result_t))
-            self.emit(ir.Store(array=dest, index=kvar,
-                               value=self.coerce(
-                                   value, ScalarType(dest_type.elem.kind))))
-            self.pop_block()
-            self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                                  stop=ir.Const(I32, dest_type.numel),
-                                  step=1, body=self._last_popped()))
-            return
-
-        if isinstance(expr, ast.UnaryOp):
-            src_name, src_scalar = operand_of(expr.operand)
-            k = self.temp("k")
-            self.fn.declare(k, I32)
-            body = self.push_block()
+            value = self._binop(_SCALAR_BINOPS[expr.op], result_t, left,
+                                right)
+        else:
+            src = operand_of(expr.operand)
+            k = self._int_var("k")
             kvar = ir.VarRef(I32, k)
-            result_t = scalar_from_mtype(self.mtype_of(expr).element_type())
-            if src_name is not None:
-                at = self.fn.local_type(src_name)
-                operand = ir.Load(ScalarType(at.elem.kind), array=src_name,
-                                  index=kvar)
-            else:
-                operand = src_scalar
-            if expr.op == "-":
-                value = ir.UnOp(result_t, op="neg",
-                                operand=self.coerce(operand, result_t))
-            elif expr.op == "~":
-                value = ir.UnOp(result_t, op="lnot",
-                                operand=self.as_bool(operand))
-            else:
-                value = self.coerce(operand, result_t)
-            self.emit(ir.Store(array=dest, index=kvar,
-                               value=self.coerce(
-                                   value, ScalarType(dest_type.elem.kind))))
-            self.pop_block()
-            self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                                  stop=ir.Const(I32, dest_type.numel),
-                                  step=1, body=self._last_popped()))
-            return
-
-        # Anything else falls back to the fused scalarizer (still one
-        # loop, but the baseline only reaches here for builtins).
-        hoisted: dict[int, ir.Expr] = {}
-        self._hoist_scalars(expr, hoisted)
-        k = self.temp("k")
-        self.fn.declare(k, I32)
-        body = self.push_block()
-        value = self._scalarize(expr, ir.VarRef(I32, k), hoisted)
-        self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
-                           value=self.coerce(
-                               value, ScalarType(dest_type.elem.kind))))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, dest_type.numel), step=1,
-                              body=self._last_popped()))
+            operand = at(src, kvar)
+            value = self.coerce(operand, result_t) if expr.op == "+" \
+                else self._unop(expr.op, result_t, operand)
+        self.emit(self._for(k, dest_type.numel, [ir.Store(
+            array=dest, index=kvar,
+            value=self.coerce(value, ScalarType(dest_type.elem.kind)))]))
 
     # -- specific array forms ----------------------------------------------
 
@@ -1822,10 +1661,9 @@ class _FunctionLowerer:
             for r, row in enumerate(expr.rows):
                 for c, element in enumerate(row):
                     value = self.coerce(self.lower_scalar(element), dest_elem)
-                    index = r + c * dest_type.rows
-                    self.emit(ir.Store(array=dest,
-                                       index=ir.Const(I32, index),
-                                       value=value))
+                    self.emit(ir.Store(
+                        array=dest, index=self._col_major(r, c, dest_type.rows),
+                        value=value))
             return
         # General concatenation: copy blocks into their offsets.
         row_offset = 0
@@ -1838,10 +1676,10 @@ class _FunctionLowerer:
                 row_height = er if row_height is None else row_height
                 if self.mtype_of(element).is_scalar:
                     value = self.coerce(self.lower_scalar(element), dest_elem)
-                    index = row_offset + col_offset * dest_type.rows
-                    self.emit(ir.Store(array=dest,
-                                       index=ir.Const(I32, index),
-                                       value=value))
+                    self.emit(ir.Store(
+                        array=dest, index=self._col_major(
+                            row_offset, col_offset, dest_type.rows),
+                        value=value))
                 else:
                     src = self._materialize(element)
                     src_type = self._array_type_of(element)
@@ -1855,33 +1693,20 @@ class _FunctionLowerer:
                     col_offset: int) -> None:
         dest_elem = ScalarType(dest_type.elem.kind)
         src_elem = ScalarType(src_type.elem.kind)
-        jc = self.temp("j")
-        ic = self.temp("i")
-        self.fn.declare(jc, I32)
-        self.fn.declare(ic, I32)
-        inner = self.push_block()
-        src_index = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, ic),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, jc),
-                           right=ir.Const(I32, src_type.rows)))
+        jc = self._int_var("j")
+        ic = self._int_var("i")
         dest_row = ir.BinOp(I32, op="add", left=ir.VarRef(I32, ic),
                             right=ir.Const(I32, row_offset))
         dest_col = ir.BinOp(I32, op="add", left=ir.VarRef(I32, jc),
                             right=ir.Const(I32, col_offset))
-        dest_index = ir.BinOp(
-            I32, op="add", left=dest_row,
-            right=ir.BinOp(I32, op="mul", left=dest_col,
-                           right=ir.Const(I32, dest_type.rows)))
-        load = ir.Load(src_elem, array=src, index=src_index)
-        self.emit(ir.Store(array=dest, index=dest_index,
-                           value=self.coerce(load, dest_elem)))
-        self.pop_block()
-        inner_loop = ir.ForRange(var=ic, start=ir.Const(I32, 0),
-                                 stop=ir.Const(I32, src_type.rows), step=1,
-                                 body=self._last_popped())
-        self.emit(ir.ForRange(var=jc, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, src_type.cols), step=1,
-                              body=[inner_loop]))
+        load = ir.Load(src_elem, array=src,
+                       index=self._col_major(ic, jc, src_type.rows))
+        store = ir.Store(array=dest,
+                         index=self._col_major(dest_row, dest_col,
+                                               dest_type.rows),
+                         value=self.coerce(load, dest_elem))
+        self.emit(self._for(jc, src_type.cols,
+                            [self._for(ic, src_type.rows, [store])]))
 
     def _lower_range_fill(self, expr: ast.Range, dest: str,
                           dest_type: ArrayType) -> None:
@@ -1892,20 +1717,15 @@ class _FunctionLowerer:
         step = self._hoist_scalar_value(
             self.coerce(self.lower_scalar(expr.step), f64), "rp") \
             if expr.step is not None else ir.Const(f64, 1.0)
-        k = self.temp("k")
-        self.fn.declare(k, I32)
-        body = self.push_block()
+        k = self._int_var("k")
         value = ir.BinOp(f64, op="add", left=start,
                          right=ir.BinOp(f64, op="mul",
                                         left=ir.Cast(f64,
                                                      operand=ir.VarRef(I32, k)),
                                         right=step))
-        self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
-                           value=self.coerce(value, dest_elem)))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, dest_type.numel), step=1,
-                              body=self._last_popped()))
+        self.emit(self._for(k, dest_type.numel, [ir.Store(
+            array=dest, index=ir.VarRef(I32, k),
+            value=self.coerce(value, dest_elem))]))
 
     def _lower_transpose(self, expr: ast.Transpose, dest: str,
                          dest_type: ArrayType) -> None:
@@ -1917,46 +1737,27 @@ class _FunctionLowerer:
         conj = expr.conjugate and src_elem.is_complex
 
         if operand_mtype.is_vector:
-            k = self.temp("k")
-            self.fn.declare(k, I32)
-            body = self.push_block()
+            k = self._int_var("k")
             load: ir.Expr = ir.Load(src_elem, array=src,
                                     index=ir.VarRef(I32, k))
             if conj:
                 load = ir.MathCall(src_elem, name="conj", args=[load])
-            self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
-                               value=self.coerce(load, dest_elem)))
-            self.pop_block()
-            self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                                  stop=ir.Const(I32, dest_type.numel),
-                                  step=1, body=self._last_popped()))
+            self.emit(self._for(k, dest_type.numel, [ir.Store(
+                array=dest, index=ir.VarRef(I32, k),
+                value=self.coerce(load, dest_elem))]))
             return
 
-        jc = self.temp("j")
-        ic = self.temp("i")
-        self.fn.declare(jc, I32)
-        self.fn.declare(ic, I32)
-        inner = self.push_block()
-        src_index = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, ic),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, jc),
-                           right=ir.Const(I32, src_type.rows)))
-        dest_index = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, jc),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, ic),
-                           right=ir.Const(I32, dest_type.rows)))
-        load = ir.Load(src_elem, array=src, index=src_index)
+        jc = self._int_var("j")
+        ic = self._int_var("i")
+        load = ir.Load(src_elem, array=src,
+                       index=self._col_major(ic, jc, src_type.rows))
         if conj:
             load = ir.MathCall(src_elem, name="conj", args=[load])
-        self.emit(ir.Store(array=dest, index=dest_index,
-                           value=self.coerce(load, dest_elem)))
-        self.pop_block()
-        inner_loop = ir.ForRange(var=ic, start=ir.Const(I32, 0),
-                                 stop=ir.Const(I32, src_type.rows), step=1,
-                                 body=self._last_popped())
-        self.emit(ir.ForRange(var=jc, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, src_type.cols), step=1,
-                              body=[inner_loop]))
+        store = ir.Store(array=dest,
+                         index=self._col_major(jc, ic, dest_type.rows),
+                         value=self.coerce(load, dest_elem))
+        self.emit(self._for(jc, src_type.cols,
+                            [self._for(ic, src_type.rows, [store])]))
 
     def _lower_matmul(self, expr: ast.BinaryOp, dest: str,
                       dest_type: ArrayType) -> None:
@@ -1967,66 +1768,37 @@ class _FunctionLowerer:
         dest_elem = ScalarType(dest_type.elem.kind)
         m, kdim, n = a_type.rows, a_type.cols, b_type.cols
 
-        j = self.temp("j")
-        kk = self.temp("p")
-        i = self.temp("i")
-        for name in (j, kk, i):
-            self.fn.declare(name, I32)
-        bkj = self.temp("bkj")
-        self.fn.declare(bkj, dest_elem)
+        j = self._int_var("j")
+        kk = self._int_var("p")
+        i = self._int_var("i")
+        bkj = self.temp("bkj", dest_elem)
 
         # Zero the destination column, then accumulate rank-1 updates
         # (jki order: the innermost loop runs down contiguous columns of
         # `a` and `dest` — stride-1, exactly what the vectorizer wants).
-        zero_body = self.push_block()
-        dest_idx = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, i),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, j),
-                           right=ir.Const(I32, m)))
-        self.emit(ir.Store(array=dest, index=dest_idx,
-                           value=self._coerce_const(
-                               ir.Const(dest_elem, 0), dest_elem)))
-        self.pop_block()
-        zero_loop = ir.ForRange(var=i, start=ir.Const(I32, 0),
-                                stop=ir.Const(I32, m), step=1,
-                                body=self._last_popped())
+        zero_loop = self._for(i, m, [ir.Store(
+            array=dest, index=self._col_major(i, j, m),
+            value=self._coerce_const(ir.Const(dest_elem, 0), dest_elem))])
 
-        acc_body = self.push_block()
-        a_idx = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, i),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, kk),
-                           right=ir.Const(I32, m)))
         a_load = self.coerce(
-            ir.Load(ScalarType(a_type.elem.kind), array=a, index=a_idx),
+            ir.Load(ScalarType(a_type.elem.kind), array=a,
+                    index=self._col_major(i, kk, m)),
             dest_elem)
         prod = ir.BinOp(dest_elem, op="mul", left=a_load,
                         right=ir.VarRef(dest_elem, bkj))
-        dest_idx2 = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, i),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, j),
-                           right=ir.Const(I32, m)))
-        old = ir.Load(dest_elem, array=dest, index=dest_idx2)
-        self.emit(ir.Store(array=dest, index=dest_idx2,
-                           value=ir.BinOp(dest_elem, op="add", left=old,
-                                          right=prod)))
-        self.pop_block()
-        acc_inner = ir.ForRange(var=i, start=ir.Const(I32, 0),
-                                stop=ir.Const(I32, m), step=1,
-                                body=self._last_popped())
+        dest_idx = self._col_major(i, j, m)
+        old = ir.Load(dest_elem, array=dest, index=dest_idx)
+        acc_inner = self._for(i, m, [ir.Store(
+            array=dest, index=dest_idx,
+            value=ir.BinOp(dest_elem, op="add", left=old, right=prod))])
 
-        b_idx = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, kk),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, j),
-                           right=ir.Const(I32, b_type.rows)))
         b_load = self.coerce(
-            ir.Load(ScalarType(b_type.elem.kind), array=b, index=b_idx),
+            ir.Load(ScalarType(b_type.elem.kind), array=b,
+                    index=self._col_major(kk, j, b_type.rows)),
             dest_elem)
-        k_loop = ir.ForRange(
-            var=kk, start=ir.Const(I32, 0), stop=ir.Const(I32, kdim), step=1,
-            body=[ir.AssignVar(bkj, b_load), acc_inner])
-        self.emit(ir.ForRange(var=j, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, n), step=1,
-                              body=[zero_loop, k_loop]))
+        k_loop = self._for(kk, kdim,
+                           [ir.AssignVar(bkj, b_load), acc_inner])
+        self.emit(self._for(j, n, [zero_loop, k_loop]))
 
     # -- regions ------------------------------------------------------------
 
@@ -2037,9 +1809,7 @@ class _FunctionLowerer:
             return counter, dim_size
         mtype = self.mtype_of(arg)
         if mtype.is_scalar:
-            idx = self.as_i32(self.lower_scalar(arg))
-            return ir.BinOp(I32, op="sub", left=idx,
-                            right=ir.Const(I32, 1)), 1
+            return _zero_based(self.as_i32(self.lower_scalar(arg))), 1
         count = mtype.shape.numel()
         if count is None:
             self.fail("subscript extent is not known at compile time", arg)
@@ -2051,8 +1821,7 @@ class _FunctionLowerer:
                     self.fail("range-subscript step must be a compile-time "
                               "constant", arg)
                 step_value = float(step_t.value)
-            start = self.as_i32(self.lower_scalar(arg.start))
-            base = ir.BinOp(I32, op="sub", left=start, right=ir.Const(I32, 1))
+            base = _zero_based(self.as_i32(self.lower_scalar(arg.start)))
             if step_value == 1.0:
                 offset = ir.BinOp(I32, op="add", left=base, right=counter)
             else:
@@ -2065,8 +1834,7 @@ class _FunctionLowerer:
         src_type = self._array_type_of(arg)
         idx_load = ir.Load(ScalarType(src_type.elem.kind), array=src,
                            index=counter)
-        return ir.BinOp(I32, op="sub", left=self.as_i32(idx_load),
-                        right=ir.Const(I32, 1)), count
+        return _zero_based(self.as_i32(idx_load)), count
 
     def _lower_region_read(self, expr: ast.CallIndex, dest: str,
                            dest_type: ArrayType) -> None:
@@ -2079,47 +1847,31 @@ class _FunctionLowerer:
         dest_elem = ScalarType(dest_type.elem.kind)
 
         if len(expr.args) == 1:
-            k = self.temp("k")
-            self.fn.declare(k, I32)
-            body = self.push_block()
+            k = self._int_var("k")
+            self.push_block()
             index, count = self._subscript_generator(
                 expr.args[0], array_type.numel, ir.VarRef(I32, k))
             load = ir.Load(src_elem, array=src, index=index)
             self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
                                value=self.coerce(load, dest_elem)))
-            self.pop_block()
-            self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                                  stop=ir.Const(I32, count), step=1,
-                                  body=self._last_popped()))
+            self.emit(self._for(k, count, self.pop_block()))
             return
 
-        jc = self.temp("j")
-        ic = self.temp("i")
-        self.fn.declare(jc, I32)
-        self.fn.declare(ic, I32)
-        inner = self.push_block()
+        jc = self._int_var("j")
+        ic = self._int_var("i")
+        self.push_block()
         row_idx, row_count = self._subscript_generator(
             expr.args[0], array_type.rows, ir.VarRef(I32, ic))
         col_idx, col_count = self._subscript_generator(
             expr.args[1], array_type.cols, ir.VarRef(I32, jc))
-        src_index = ir.BinOp(
-            I32, op="add", left=row_idx,
-            right=ir.BinOp(I32, op="mul", left=col_idx,
-                           right=ir.Const(I32, array_type.rows)))
-        dest_index = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, ic),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, jc),
-                           right=ir.Const(I32, dest_type.rows)))
-        load = ir.Load(src_elem, array=src, index=src_index)
-        self.emit(ir.Store(array=dest, index=dest_index,
+        load = ir.Load(src_elem, array=src,
+                       index=self._col_major(row_idx, col_idx,
+                                             array_type.rows))
+        self.emit(ir.Store(array=dest,
+                           index=self._col_major(ic, jc, dest_type.rows),
                            value=self.coerce(load, dest_elem)))
-        self.pop_block()
-        inner_loop = ir.ForRange(var=ic, start=ir.Const(I32, 0),
-                                 stop=ir.Const(I32, row_count), step=1,
-                                 body=self._last_popped())
-        self.emit(ir.ForRange(var=jc, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, col_count), step=1,
-                              body=[inner_loop]))
+        self.emit(self._for(jc, col_count,
+                            [self._for(ic, row_count, self.pop_block())]))
 
     def _store_region(self, target: ast.CallIndex, dest: str,
                       dest_type: ArrayType, value: ast.Expr) -> None:
@@ -2143,45 +1895,28 @@ class _FunctionLowerer:
             return self.coerce(load, dest_elem)
 
         if len(target.args) == 1:
-            k = self.temp("k")
-            self.fn.declare(k, I32)
-            body = self.push_block()
+            k = self._int_var("k")
+            self.push_block()
             index, count = self._subscript_generator(
                 target.args[0], dest_type.numel, ir.VarRef(I32, k))
             self.emit(ir.Store(array=dest, index=index,
                                value=value_at(ir.VarRef(I32, k))))
-            self.pop_block()
-            self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                                  stop=ir.Const(I32, count), step=1,
-                                  body=self._last_popped()))
+            self.emit(self._for(k, count, self.pop_block()))
             return
 
-        jc = self.temp("j")
-        ic = self.temp("i")
-        self.fn.declare(jc, I32)
-        self.fn.declare(ic, I32)
-        inner = self.push_block()
+        jc = self._int_var("j")
+        ic = self._int_var("i")
+        self.push_block()
         row_idx, row_count = self._subscript_generator(
             target.args[0], dest_type.rows, ir.VarRef(I32, ic))
         col_idx, col_count = self._subscript_generator(
             target.args[1], dest_type.cols, ir.VarRef(I32, jc))
-        dest_index = ir.BinOp(
-            I32, op="add", left=row_idx,
-            right=ir.BinOp(I32, op="mul", left=col_idx,
-                           right=ir.Const(I32, dest_type.rows)))
-        src_position = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, ic),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, jc),
-                           right=ir.Const(I32, row_count)))
-        self.emit(ir.Store(array=dest, index=dest_index,
-                           value=value_at(src_position)))
-        self.pop_block()
-        inner_loop = ir.ForRange(var=ic, start=ir.Const(I32, 0),
-                                 stop=ir.Const(I32, row_count), step=1,
-                                 body=self._last_popped())
-        self.emit(ir.ForRange(var=jc, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, col_count), step=1,
-                              body=[inner_loop]))
+        self.emit(ir.Store(
+            array=dest,
+            index=self._col_major(row_idx, col_idx, dest_type.rows),
+            value=value_at(self._col_major(ic, jc, row_count))))
+        self.emit(self._for(jc, col_count,
+                            [self._for(ic, row_count, self.pop_block())]))
 
     # -- array builtins -------------------------------------------------------
 
@@ -2197,19 +1932,14 @@ class _FunctionLowerer:
         if name == "eye":
             self._fill(dest, dest_type, ir.Const(dest_elem, 0.0))
             diag = min(dest_type.rows, dest_type.cols)
-            k = self.temp("k")
-            self.fn.declare(k, I32)
-            body = self.push_block()
+            k = self._int_var("k")
             index = ir.BinOp(
                 I32, op="mul", left=ir.VarRef(I32, k),
                 right=ir.Const(I32, dest_type.rows + 1))
-            self.emit(ir.Store(array=dest, index=index,
-                               value=self._coerce_const(
-                                   ir.Const(dest_elem, 1), dest_elem)))
-            self.pop_block()
-            self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                                  stop=ir.Const(I32, diag), step=1,
-                                  body=self._last_popped()))
+            self.emit(self._for(k, diag, [ir.Store(
+                array=dest, index=index,
+                value=self._coerce_const(ir.Const(dest_elem, 1),
+                                         dest_elem))]))
             return
         if name == "linspace":
             self._lower_linspace(expr, dest, dest_type)
@@ -2254,25 +1984,19 @@ class _FunctionLowerer:
         src = self._materialize(expr.args[0])
         src_type = self._array_type_of(expr.args[0])
         elem = ScalarType(dest_type.elem.kind)
-        run = self.temp("run")
-        k = self.temp("k")
-        self.fn.declare(run, elem)
-        self.fn.declare(k, I32)
+        run = self.temp("run", elem)
+        k = self._int_var("k")
         zero = complex(0) if elem.is_complex else 0.0
         self.emit(ir.AssignVar(run, ir.Const(elem, zero)))
-        body = self.push_block()
         load = self.coerce(ir.Load(ScalarType(src_type.elem.kind),
                                    array=src, index=ir.VarRef(I32, k)),
                            elem)
-        self.emit(ir.AssignVar(run, ir.BinOp(elem, op="add",
-                                             left=ir.VarRef(elem, run),
-                                             right=load)))
-        self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
-                           value=ir.VarRef(elem, run)))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, dest_type.numel), step=1,
-                              body=self._last_popped()))
+        self.emit(self._for(k, dest_type.numel, [
+            ir.AssignVar(run, ir.BinOp(elem, op="add",
+                                       left=ir.VarRef(elem, run),
+                                       right=load)),
+            ir.Store(array=dest, index=ir.VarRef(I32, k),
+                     value=ir.VarRef(elem, run))]))
 
     def _lower_sort(self, expr: ast.CallIndex, dest: str,
                     dest_type: ArrayType) -> None:
@@ -2284,12 +2008,9 @@ class _FunctionLowerer:
         n = dest_type.numel
         if n <= 1:
             return
-        i = self.temp("i")
-        j = self.temp("j")
-        key = self.temp("key")
-        self.fn.declare(i, I32)
-        self.fn.declare(j, I32)
-        self.fn.declare(key, elem)
+        i = self._int_var("i")
+        j = self._int_var("j")
+        key = self.temp("key", elem)
 
         # while j >= 0 && dest[j] > key: dest[j+1] = dest[j]; j--
         j_ref = ir.VarRef(I32, j)
@@ -2322,21 +2043,14 @@ class _FunctionLowerer:
                                     right=ir.Const(I32, 1)),
                      value=ir.VarRef(elem, key)),
         ]
-        self.emit(ir.ForRange(var=i, start=ir.Const(I32, 1),
-                              stop=ir.Const(I32, n), step=1,
-                              body=outer_body))
+        self.emit(self._for(i, n, outer_body, start=1))
 
     def _fill(self, dest: str, dest_type: ArrayType, value: ir.Const) -> None:
-        k = self.temp("k")
-        self.fn.declare(k, I32)
+        k = self._int_var("k")
         dest_elem = ScalarType(dest_type.elem.kind)
-        body = self.push_block()
-        self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
-                           value=self._coerce_const(value, dest_elem)))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, dest_type.numel), step=1,
-                              body=self._last_popped()))
+        self.emit(self._for(k, dest_type.numel, [ir.Store(
+            array=dest, index=ir.VarRef(I32, k),
+            value=self._coerce_const(value, dest_elem))]))
 
     def _lower_linspace(self, expr: ast.CallIndex, dest: str,
                         dest_type: ArrayType) -> None:
@@ -2352,20 +2066,15 @@ class _FunctionLowerer:
             ir.BinOp(f64, op="div",
                      left=ir.BinOp(f64, op="sub", left=stop, right=start),
                      right=ir.Const(f64, float(denom))), "lp")
-        k = self.temp("k")
-        self.fn.declare(k, I32)
-        body = self.push_block()
+        k = self._int_var("k")
         value = ir.BinOp(f64, op="add", left=start,
                          right=ir.BinOp(f64, op="mul",
                                         left=ir.Cast(
                                             f64, operand=ir.VarRef(I32, k)),
                                         right=step))
-        self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
-                           value=self.coerce(value, dest_elem)))
-        self.pop_block()
-        self.emit(ir.ForRange(var=k, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, n), step=1,
-                              body=self._last_popped()))
+        self.emit(self._for(k, n, [ir.Store(
+            array=dest, index=ir.VarRef(I32, k),
+            value=self.coerce(value, dest_elem))]))
 
     def _lower_flip(self, expr: ast.CallIndex, dest: str,
                     dest_type: ArrayType, which: str) -> None:
@@ -2373,11 +2082,8 @@ class _FunctionLowerer:
         src_type = self._array_type_of(expr.args[0])
         src_elem = ScalarType(src_type.elem.kind)
         dest_elem = ScalarType(dest_type.elem.kind)
-        jc = self.temp("j")
-        ic = self.temp("i")
-        self.fn.declare(jc, I32)
-        self.fn.declare(ic, I32)
-        inner = self.push_block()
+        jc = self._int_var("j")
+        ic = self._int_var("i")
         if which == "fliplr":
             src_col = ir.BinOp(I32, op="sub",
                                left=ir.Const(I32, src_type.cols - 1),
@@ -2388,24 +2094,14 @@ class _FunctionLowerer:
             src_row = ir.BinOp(I32, op="sub",
                                left=ir.Const(I32, src_type.rows - 1),
                                right=ir.VarRef(I32, ic))
-        src_index = ir.BinOp(
-            I32, op="add", left=src_row,
-            right=ir.BinOp(I32, op="mul", left=src_col,
-                           right=ir.Const(I32, src_type.rows)))
-        dest_index = ir.BinOp(
-            I32, op="add", left=ir.VarRef(I32, ic),
-            right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, jc),
-                           right=ir.Const(I32, dest_type.rows)))
-        load = ir.Load(src_elem, array=src, index=src_index)
-        self.emit(ir.Store(array=dest, index=dest_index,
-                           value=self.coerce(load, dest_elem)))
-        self.pop_block()
-        inner_loop = ir.ForRange(var=ic, start=ir.Const(I32, 0),
-                                 stop=ir.Const(I32, src_type.rows), step=1,
-                                 body=self._last_popped())
-        self.emit(ir.ForRange(var=jc, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, src_type.cols), step=1,
-                              body=[inner_loop]))
+        load = ir.Load(src_elem, array=src,
+                       index=self._col_major(src_row, src_col,
+                                             src_type.rows))
+        store = ir.Store(array=dest,
+                         index=self._col_major(ic, jc, dest_type.rows),
+                         value=self.coerce(load, dest_elem))
+        self.emit(self._for(jc, src_type.cols,
+                            [self._for(ic, src_type.rows, [store])]))
 
     def _lower_matrix_reduction(self, expr: ast.CallIndex, dest: str,
                                 dest_type: ArrayType, name: str) -> None:
@@ -2421,38 +2117,17 @@ class _FunctionLowerer:
             dim = int(float(dim_t.value))
         outer_n = src_type.cols if dim == 1 else src_type.rows
         inner_n = src_type.rows if dim == 1 else src_type.cols
-        jc = self.temp("j")
-        ic = self.temp("i")
-        acc = self.temp("acc")
-        self.fn.declare(jc, I32)
-        self.fn.declare(ic, I32)
-        self.fn.declare(acc, dest_elem)
+        jc = self._int_var("j")
+        ic = self._int_var("i")
+        acc = self.temp("acc", dest_elem)
 
-        inner = self.push_block()
-        if dim == 1:
-            src_index = ir.BinOp(
-                I32, op="add", left=ir.VarRef(I32, ic),
-                right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, jc),
-                               right=ir.Const(I32, src_type.rows)))
-        else:
-            src_index = ir.BinOp(
-                I32, op="add", left=ir.VarRef(I32, jc),
-                right=ir.BinOp(I32, op="mul", left=ir.VarRef(I32, ic),
-                               right=ir.Const(I32, src_type.rows)))
+        src_index = self._col_major(ic, jc, src_type.rows) if dim == 1 \
+            else self._col_major(jc, ic, src_type.rows)
         load = self.coerce(ir.Load(src_elem, array=src, index=src_index),
                            dest_elem)
-        if name in ("sum", "mean"):
-            update = ir.BinOp(dest_elem, op="add",
-                              left=ir.VarRef(dest_elem, acc), right=load)
-        elif name == "prod":
-            update = ir.BinOp(dest_elem, op="mul",
-                              left=ir.VarRef(dest_elem, acc), right=load)
-        else:
-            update = ir.BinOp(dest_elem, op=name,
-                              left=ir.VarRef(dest_elem, acc), right=load)
-        self.emit(ir.AssignVar(acc, update))
-        self.pop_block()
-        inner_body = self._last_popped()
+        op = {"sum": "add", "mean": "add", "prod": "mul"}.get(name, name)
+        update = ir.BinOp(dest_elem, op=op,
+                          left=ir.VarRef(dest_elem, acc), right=load)
 
         init: ir.Expr
         start_i = 0
@@ -2474,16 +2149,12 @@ class _FunctionLowerer:
                               right=ir.Const(dest_elem,
                                              self._one_over(inner_n,
                                                             dest_elem)))
-        outer_body = [
+        self.emit(self._for(jc, outer_n, [
             ir.AssignVar(acc, init),
-            ir.ForRange(var=ic, start=ir.Const(I32, start_i),
-                        stop=ir.Const(I32, inner_n), step=1,
-                        body=inner_body),
+            self._for(ic, inner_n, [ir.AssignVar(acc, update)],
+                      start=start_i),
             ir.Store(array=dest, index=ir.VarRef(I32, jc), value=result),
-        ]
-        self.emit(ir.ForRange(var=jc, start=ir.Const(I32, 0),
-                              stop=ir.Const(I32, outer_n), step=1,
-                              body=outer_body))
+        ]))
 
     # ------------------------------------------------------------------
     # User calls
@@ -2501,18 +2172,14 @@ class _FunctionLowerer:
         if result_names is None:
             result_names = []
             for rt in result_types:
-                tmp = self.temp("ret")
-                self.fn.declare(tmp, from_mtype(rt))
-                result_names.append(tmp)
+                result_names.append(self.temp("ret", from_mtype(rt)))
         results = list(result_names[:len(result_types)])
         # nargout < number of returns (``v = f(...)`` on a multi-return
         # function): the call still carries every output so the callee's
         # calling convention is uniform — unused outputs get throwaway
         # caller buffers and die in DCE when the callee is inlined.
         for rt in result_types[len(results):]:
-            tmp = self.temp("unused")
-            self.fn.declare(tmp, from_mtype(rt))
-            results.append(tmp)
+            results.append(self.temp("unused", from_mtype(rt)))
         result_set = set(results)
 
         args: list[ir.Expr | str] = []
@@ -2527,9 +2194,7 @@ class _FunctionLowerer:
                 # x = f(x): the C calling convention passes pointers, so
                 # an argument aliasing a result buffer must be snapshot
                 # before the callee starts writing its outputs.
-                array_type = self.fn.local_type(name)
-                snapshot = self.temp("alias")
-                self.fn.declare(snapshot, array_type)
+                snapshot = self.temp("alias", self.fn.local_type(name))
                 self.emit(ir.CopyArray(dst=snapshot, src=name))
                 name = snapshot
             args.append(name)

@@ -13,8 +13,11 @@ Disk layout: ``<dir>/<key[:2]>/<key>.so`` where ``key`` is the sha256
 of exactly the build inputs — C source text, compiler name, compile
 flags, link flags, and an ABI version tag.  Writes publish via
 ``mkstemp`` + atomic ``os.replace`` (same protocol as the compilation
-cache), so concurrent builders of the same key race harmlessly and
-readers never observe a partial file.  Eviction is size-bounded: when
+cache), so readers never observe a partial file.  The in-flight file
+is named ``.<key prefix>.<random>.tmp``, outside the ``*.so`` glob of
+the eviction sweep, so one builder's sweep never unlinks another's
+unpublished output; concurrent builders of the same key both publish
+and the second replace wins.  Eviction is size-bounded: when
 the store exceeds ``disk_limit`` entries after a write, the
 oldest-mtime entries beyond the limit are unlinked (already-loaded
 libraries keep working; on POSIX the mapping survives the unlink).
@@ -188,8 +191,10 @@ class NativeCache:
                     prefix="repro-native-build-") as tmp:
                 c_path = Path(tmp) / "generated.c"
                 c_path.write_text(source)
+                # The in-flight output must not match the ``*/*.so``
+                # glob of another cache's eviction sweep.
                 fd, tmp_so = tempfile.mkstemp(
-                    prefix=f".{path.stem[:16]}.tmp.", suffix=".so",
+                    prefix=f".{path.stem[:16]}.", suffix=".tmp",
                     dir=path.parent)
                 os.close(fd)
                 try:

@@ -42,7 +42,6 @@ overhead contract in DESIGN.md.
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left
 from math import ceil
 
@@ -166,26 +165,6 @@ class Histogram:
         return digest
 
 
-class _Timer:
-    """Context manager produced by :meth:`MetricsRegistry.time`."""
-
-    __slots__ = ("registry", "name", "start", "duration")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self.registry = registry
-        self.name = name
-        self.duration = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.duration = time.perf_counter() - self.start
-        self.registry.observe(self.name, self.duration)
-        return False
-
-
 class MetricsRegistry:
     """Thread-safe counters + gauges + latency histograms."""
 
@@ -224,10 +203,6 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._histograms[name] = Histogram()
             histogram.observe_ns(ns)
-
-    def time(self, name: str) -> _Timer:
-        """``with registry.time("stage_s"): ...`` convenience timer."""
-        return _Timer(self, name)
 
     # -- reading -------------------------------------------------------
 

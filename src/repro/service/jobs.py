@@ -72,9 +72,6 @@ class CompileJob:
     #: function of ``(program, processor, seed)``, so results are
     #: identical at any worker count.
     simulate_seed: "int | None" = None
-    #: Simulation backend for ``simulate_seed`` (``compiled`` or
-    #: ``reference``; both charge identical cycles).
-    simulate_backend: str = "compiled"
     #: Fault-injection hook for the concurrency test tier; honored by
     #: the worker only when the service was built with
     #: ``allow_test_hooks=True``.  One of ``"crash"`` (``os._exit``),

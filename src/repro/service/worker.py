@@ -117,7 +117,7 @@ def _simulate_job(job: CompileJob, compiled, result: JobResult,
     t0 = time.perf_counter()
     inputs = random_inputs(compiled.module.entry_function,
                            job.simulate_seed)
-    run = compiled.simulate(inputs, backend=job.simulate_backend)
+    run = compiled.simulate(inputs)
     result.sim_wall_s = time.perf_counter() - t0
     result.cycles = run.report.total
     result.instruction_counts = dict(run.report.instruction_counts)

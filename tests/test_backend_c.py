@@ -184,8 +184,7 @@ y = x * 2;
 end
 """, args=[arg()])
     main = generate_main(result.module, [21.0])
-    source = emit_c(result.module, result.processor, with_main=True,
-                    main_body=main)
+    source = emit_c(result.module, result.processor, main_body=main)
     with tempfile.TemporaryDirectory() as tmp:
         c_file = Path(tmp) / "t.c"
         exe = Path(tmp) / "t"

@@ -7,9 +7,11 @@ builds — the full optimizer on ``generic_scalar_dsp``,
 ``emitted_c_goldens.json`` records the sha256 of ``c_source()``, the
 compiled simulator's cycle total on the kernel's seed-0 inputs, the
 pass pipeline's ``pass_stats`` (change count per pass and rounds per
-function) and the number of loops the SIMD vectorizer reported as
-vectorized.  A pass refactor that claims to keep behaviour must keep
-all 40 entries.
+function), the number of loops the SIMD vectorizer reported as
+vectorized, and the sha256 and node count of the printed IR that
+``lower_program`` builds, before any pass, in the build's lowering
+mode.  A builder or pass refactor that claims to keep behaviour must
+keep all 40 entries.
 
 When a change is meant to alter the emitted C, regenerate the file
 with this module's script entry point and review the diff:
@@ -28,9 +30,18 @@ from pathlib import Path
 import pytest
 
 from repro.compiler import CompilerOptions, compile_source
+from repro.frontend.parser import parse
+from repro.frontend.source import SourceFile
+from repro.ir import nodes as ir
+from repro.ir.builder import lower_program
+from repro.ir.printer import format_module
 from repro.observe.remarks import PASSED
+from repro.semantics.inference import specialize_program
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+from layers import count_nodes  # noqa: E402  (the ir.nodes_lowered count)
 from workloads import default_workloads  # noqa: E402
 
 GOLDENS = Path(__file__).with_name("emitted_c_goldens.json")
@@ -47,6 +58,19 @@ BUILDS = {
 KERNELS = {kernel.name: kernel for kernel in default_workloads()}
 
 
+def lowered_module(kernel, mode: str) -> ir.IRModule:
+    """``lower_program``'s module for ``kernel``, before any pass."""
+    program = parse(kernel.source, "<string>")
+    sprog = specialize_program(program, kernel.entry,
+                               list(kernel.arg_types),
+                               SourceFile(kernel.source, "<string>"))
+    return lower_program(sprog, mode=mode)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def build_record(kernel_name: str, build: str) -> dict:
     kernel = KERNELS[kernel_name]
     processor, options = BUILDS[build]
@@ -54,14 +78,17 @@ def build_record(kernel_name: str, build: str) -> dict:
                             entry=kernel.entry, processor=processor,
                             options=options(), use_cache=False)
     run = result.simulate(kernel.inputs(0), backend="compiled")
-    return {"c_sha256": hashlib.sha256(
-                result.c_source().encode("utf-8")).hexdigest(),
+    module = lowered_module(
+        kernel, "naive" if build.startswith("baseline/") else "fused")
+    return {"c_sha256": sha256(result.c_source()),
             "cycles": run.report.total,
             "pass_stats": result.pass_stats,
             "loops_vectorized": sum(
                 1 for remark in result.remarks
                 if remark.kind == PASSED
-                and remark.pass_name == "simd-vectorize")}
+                and remark.pass_name == "simd-vectorize"),
+            "ir_sha256": sha256(format_module(module)),
+            "ir_nodes": count_nodes(module)}
 
 
 def current_table() -> dict:
@@ -93,6 +120,17 @@ def test_goldens_hold_the_compile_corpus_totals():
                for name, n in record["pass_stats"].items()
                if name.startswith("rounds[")) == 50
     assert sum(record["loops_vectorized"] for record in records) == 30
+
+
+def test_goldens_hold_the_lowered_node_total():
+    # The compile benchmark lowers each kernel twice: fused for the
+    # optimized vliw_simd_dsp tier and naive for the baseline
+    # generic_scalar_dsp tier.  Its ``ir.nodes_lowered`` is this total.
+    goldens = json.loads(GOLDENS.read_text())
+    assert sum(goldens[f"{name}/{build}"]["ir_nodes"]
+               for name in KERNELS
+               for build in ("opt/vliw_simd_dsp",
+                             "baseline/generic_scalar_dsp")) == 4382
 
 
 if __name__ == "__main__":

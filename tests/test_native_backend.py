@@ -401,6 +401,30 @@ def test_disk_eviction_keeps_newest(tmp_path):
 
 
 @requires_gcc
+def test_eviction_spares_in_flight_builds(tmp_path, monkeypatch):
+    """Another cache's eviction sweep over the same directory, run while
+    a build's output is still unpublished, must not unlink it (which
+    broke the builder's ``os.replace``) nor count it as an eviction."""
+    sweeper = NativeCache(cache_dir=tmp_path, disk_limit=0)
+    real_run = native_builder.subprocess.run
+
+    def compile_then_sweep(cmd, *args, **kwargs):
+        proc = real_run(cmd, *args, **kwargs)
+        sweeper._evict()
+        return proc
+
+    monkeypatch.setattr(native_builder.subprocess, "run",
+                        compile_then_sweep)
+    source = "int repro_probe_race(void) { return 7; }\n"
+    cache = NativeCache(cache_dir=tmp_path)
+    assert cache.warm(source) is True
+    key = native_cache_key(source, "gcc")
+    assert (tmp_path / key[:2] / f"{key}.so").is_file()
+    assert sweeper.stats()["evictions"] == 0
+    assert list(tmp_path.glob("*/.*.tmp")) == []
+
+
+@requires_gcc
 def test_run_points_compiles_once(fresh_native_cache, monkeypatch):
     prog = ProgramGenerator(0).generate()
     oracle = DifferentialOracle(engines=["compiled", "gcc"],
