@@ -1232,9 +1232,9 @@ class _FunctionLowerer:
         if name in ("sum", "mean", "prod", "dot"):
             init = 1.0 if name == "prod" else 0.0
             self.emit(ir.AssignVar(acc, ir.Const(acc_t, init)))
-            self.push_block()
             load = ir.Load(elem, array=src, index=ir.VarRef(I32, k))
             if name == "dot":
+                # Built once, ahead of the loop that reads it.
                 other = self._materialize(expr.args[1])
                 other_type = self._array_type_of(expr.args[1])
                 lhs = load
@@ -1248,9 +1248,8 @@ class _FunctionLowerer:
             else:
                 term = self.coerce(load, acc_t)
             op = "mul" if name == "prod" else "add"
-            self.emit(ir.AssignVar(acc, ir.BinOp(
-                acc_t, op=op, left=ir.VarRef(acc_t, acc), right=term)))
-            self.emit(self._for(k, n, self.pop_block()))
+            self.emit(self._for(k, n, [ir.AssignVar(acc, ir.BinOp(
+                acc_t, op=op, left=ir.VarRef(acc_t, acc), right=term))]))
             result: ir.Expr = ir.VarRef(acc_t, acc)
             if name == "mean":
                 result = ir.BinOp(acc_t, op="mul", left=result,
@@ -1829,8 +1828,11 @@ class _FunctionLowerer:
                                   right=ir.Const(I32, int(step_value)))
                 offset = ir.BinOp(I32, op="add", left=base, right=scaled)
             return offset, count
-        # General vector subscript: gather through the index array.
+        # General vector subscript: gather through the index array,
+        # built once ahead of the loop whose body block is open.
+        loop_body = self.pop_block()
         src = self._materialize(arg)
+        self._blocks.append(loop_body)
         src_type = self._array_type_of(arg)
         idx_load = ir.Load(ScalarType(src_type.elem.kind), array=src,
                            index=counter)

@@ -16,17 +16,42 @@ charged unconditionally whenever the group executes) is folded into a
 handful of counter increments emitted once at the head of the group,
 instead of a ``CycleReport.charge`` call per node visit.  Conditionally
 evaluated work — the right-hand side of a short-circuiting ``land`` /
-``lor``, ``If`` branches, loop bodies — keeps its own flush so the
+``lor``, ``If`` branches, ``while`` bodies — keeps its own flush so the
 produced :class:`~repro.sim.cost.CycleReport` is *identical* to the
 tree-walker's (same totals, same per-category breakdown, same custom
 instruction counts), which the differential test suite enforces.
 
+Loops are charged once per loop, not per iteration.  A ``ForRange``
+whose body holds no statement that can cut an iteration short (a
+``Break``, ``Continue`` or ``Return``) charges the same every
+iteration: the body's leading group plus the loop branch.  With
+constant bounds, trip count x that charge is folded into the enclosing
+group at translate time, so a whole constant nest such as ``matmul``
+costs one flush; with run-time bounds, the generated code binds the
+``range`` once and charges ``len(range)`` x the charge under
+``if range:`` ahead of the loop, so a zero-trip loop creates no
+counter key.  The per-line costs of a line profile are scaled the same
+way.  A loop whose iterations can stop early flushes at the head of
+each iteration.
+
+Vector operands make no numpy temporary.  Every vector ``BinOp`` and
+custom instruction builds a fresh result array, so a ``VecLoad``
+operand reads as a slice view (a ``VecLoad`` assigned to a variable or
+stored directly is still copied), and a splat operand reads as a dtype
+scalar that numpy broadcasts, as long as the operation keeps another
+array operand.  A standalone splat fills an ``empty`` array; the
+``vred*`` reductions call the ufunc ``reduce`` directly.  Casts to a
+real kind are inline ``int()`` / ``float()`` / ``bool()`` conversions,
+preceded by ``.real`` only when the operand may hold a complex
+(``c_pow`` of a negative base returns one even in a real-typed slot).
+
 Behavioural differences versus the reference executor (both only
 observable on invalid IR or runaway programs):
 
-* the ``max_steps`` guard is charged once per loop-iteration /
-  ``while``-condition check rather than once per statement, so the
-  limit triggers at a different (coarser) step count;
+* the ``max_steps`` guard counts ``while``-condition checks only (the
+  generated ``for`` loops, which always terminate, never touch it)
+  rather than every statement, so the limit triggers at a different
+  step count;
 * error messages for malformed IR (unknown arrays, unassigned reads)
   are normalized through a single :class:`SimulationError` wrapper.
 
@@ -90,44 +115,23 @@ def _cmag2(value):
     return value.real * value.real + value.imag * value.imag
 
 
-def _cast_complex(value):
-    return complex(value)
-
-
-def _cast_bool(value):
-    if isinstance(value, complex):
-        value = value.real
-    return bool(value)
-
-
-def _cast_int(value):
-    if isinstance(value, complex):
-        value = value.real
-    return int(value)  # C cast truncates toward zero, like int()
-
-
-def _cast_f32(value):
-    if isinstance(value, complex):
-        value = value.real
-    return float(np.float32(value))
-
-
-def _cast_f64(value):
-    if isinstance(value, complex):
-        value = value.real
-    return float(value)
-
-
-_CAST_HELPERS = {
-    ScalarKind.BOOL: ("_cast_bool", _cast_bool),
-    ScalarKind.I8: ("_cast_int", _cast_int),
-    ScalarKind.I16: ("_cast_int", _cast_int),
-    ScalarKind.I32: ("_cast_int", _cast_int),
-    ScalarKind.F32: ("_cast_f32", _cast_f32),
-    ScalarKind.F64: ("_cast_f64", _cast_f64),
-    ScalarKind.C64: ("_cast_complex", _cast_complex),
-    ScalarKind.C128: ("_cast_complex", _cast_complex),
+#: Inline conversion a ``Cast`` to each real kind emits (C truncates
+#: toward zero on a float-to-int cast, like ``int()``).  A cast to a
+#: complex kind is ``complex()`` whatever its operand.
+_REAL_CASTS = {
+    ScalarKind.BOOL: "bool({})",
+    ScalarKind.I8: "int({})",
+    ScalarKind.I16: "int({})",
+    ScalarKind.I32: "int({})",
+    ScalarKind.F32: "float(_npf32({}))",
+    ScalarKind.F64: "float({})",
 }
+
+
+def _splat(lanes, value, dtype):
+    out = np.empty(lanes, dtype)
+    out.fill(value)
+    return out
 
 
 def _m_abs(a):
@@ -259,15 +263,49 @@ _BASE_NS = {
     "_npmax": np.maximum,
     "_npabs": np.abs,
     "_npconj": np.conj,
-    "_npsum": np.sum,
-    "_npamin": np.min,
-    "_npamax": np.max,
+    "_npsum": np.add.reduce,
+    "_npamin": np.minimum.reduce,
+    "_npamax": np.maximum.reduce,
+    "_npf32": np.float32,
+    "_splat": _splat,
     "_oob": _oob,
     "_stepfail": _stepfail,
     "SimulationError": SimulationError,
 }
 _BASE_NS.update({f"_m_{name}": fn for name, fn in _MATH_HELPERS.items()})
-_BASE_NS.update({helper: fn for helper, fn in _CAST_HELPERS.values()})
+
+
+#: Vector BinOp ops whose numpy form broadcasts a dtype scalar operand
+#: exactly like a splatted array (``pow`` is left out: numpy swaps in
+#: ``square`` / ``sqrt`` for some scalar exponents).
+_SCALAR_OPERAND_BINOPS = frozenset(
+    ("add", "sub", "mul", "div", "min", "max",
+     "eq", "ne", "lt", "le", "gt", "ge"))
+_SCALAR_OPERAND_INTRINSICS = frozenset(
+    ("vadd", "vsub", "vmul", "vdiv", "vmin", "vmax"))
+
+
+def _is_splat(expr: ir.Expr) -> bool:
+    return isinstance(expr, ir.VecSplat) or (
+        isinstance(expr, ir.IntrinsicCall)
+        and expr.instruction.operation == "vsplat")
+
+
+def _scalar_operands(op: str, args: list[ir.Expr]) -> list[bool]:
+    """Which operands of vector op ``op`` are splats that may read as
+    dtype scalars.
+
+    Every numpy operation the op performs must keep one array operand,
+    or its result would be a scalar instead of a vector."""
+    splat = [_is_splat(arg) for arg in args]
+    if op == "vmac":  # a + b * c
+        a, b, c = splat
+        return [a and not (b and c), b and not c, c and not b]
+    if len(args) == 2 and (op in _SCALAR_OPERAND_BINOPS
+                           or op in _SCALAR_OPERAND_INTRINSICS):
+        left, right = splat
+        return [left and not right, right and not left]
+    return [False] * len(args)
 
 
 def _merge(dst: dict, src: dict) -> None:
@@ -376,20 +414,28 @@ class _FuncCodegen:
 
     def flush_lines(self, static: dict[int, int],
                     counts: dict[str, int],
-                    linecost: "dict[int, int] | None" = None) -> list[str]:
+                    linecost: "dict[int, int] | None" = None,
+                    times: str = "") -> list[str]:
+        """Counter updates charging one group; ``times`` names a run-time
+        multiplier (a loop's trip count) applied to every charge."""
+        def amount(value: int) -> str:
+            if not times:
+                return str(value)
+            return times if value == 1 else f"{times} * {value}"
         lines = []
         for index in sorted(static):
             cycles = static[index]
             if cycles:
-                lines.append(f"_a[{index}] += {cycles}")
+                lines.append(f"_a[{index}] += {amount(cycles)}")
         for name, count in counts.items():
-            lines.append(f"_ic[{name!r}] = _ic.get({name!r}, 0) + {count}")
+            lines.append(f"_ic[{name!r}] = _ic.get({name!r}, 0) + "
+                         f"{amount(count)}")
         if self.profile and linecost:
             for line in sorted(linecost):
                 cycles = linecost[line]
                 if cycles:
-                    lines.append(f"_lc[{line}] = "
-                                 f"_lc.get({line}, 0) + {cycles}")
+                    lines.append(f"_lc[{line}] = _lc.get({line}, 0) + "
+                                 f"{amount(cycles)}")
         return lines
 
     def charge_closure(self, static: dict[int, int],
@@ -437,6 +483,24 @@ class _FuncCodegen:
             return isinstance(declared, ArrayType) and \
                 declared.elem.kind.is_integer
         return False
+
+    def _real_code(self, expr: ir.Expr, code: str, intvars: set[str],
+                   kind: ScalarKind) -> str:
+        """``code`` as a value of ``kind``.
+
+        A real-typed slot can still hold a complex at run time (``c_pow``
+        of a negative base and a fractional exponent returns one), and
+        the tree-walker's casts and ``np.full`` splats to a real kind keep
+        its real part; only a provably real operand skips ``.real``."""
+        if kind.is_complex or self._is_int(expr, intvars):
+            return code
+        if isinstance(expr, ir.Const):
+            if not isinstance(expr.value, complex):
+                return code
+        elif isinstance(expr, (ir.Load, ir.Cast)) and \
+                not expr.type.is_complex:
+            return code
+        return f"({code}).real"
 
     def int_code(self, expr: ir.Expr, intvars: set[str],
                  static: dict, counts: dict) -> str:
@@ -501,8 +565,11 @@ class _FuncCodegen:
         if isinstance(e, ir.Cast):
             code, static, counts = self.expr(e.operand, intvars)
             _merge(static, {_ALU: self.cost.cast()})
-            helper = _CAST_HELPERS[e.type.kind][0]
-            return f"{helper}({code})", static, counts
+            kind = e.type.kind
+            if kind.is_complex:
+                return f"complex({code})", static, counts
+            code = self._real_code(e.operand, code, intvars, kind)
+            return _REAL_CASTS[kind].format(code), static, counts
         if isinstance(e, ir.MakeComplex):
             rcode, static, counts = self.expr(e.real, intvars)
             icode, ist, icn = self.expr(e.imag, intvars)
@@ -515,8 +582,7 @@ class _FuncCodegen:
         if isinstance(e, ir.VecSplat):
             code, static, counts = self.expr(e.operand, intvars)
             _merge(static, {_MOVE: self.cost.move()})
-            dt = self.bind("_dt", numpy_dtype(e.type.elem.kind))
-            return (f"_np.full({e.type.lanes}, {code}, {dt})",
+            return (self._splat_code(e, e.operand, code, intvars),
                     static, counts)
         if isinstance(e, ir.IntrinsicCall):
             return self._intrinsic_expr(e, intvars)
@@ -565,11 +631,15 @@ class _FuncCodegen:
             return (f"(bool({lcode}) {joiner} bool({rcode}))",
                     static, counts)
 
-        lcode, static, counts = self.expr(e.left, intvars)
-        rcode, rst, rcn = self.expr(e.right, intvars)
-        _merge(static, rst)
-        _merge(counts, rcn)
         is_vector = isinstance(e.type, VectorType)
+        if is_vector:
+            (lcode, rcode), static, counts = self._vec_operands(
+                op, [e.left, e.right], intvars)
+        else:
+            lcode, static, counts = self.expr(e.left, intvars)
+            rcode, rst, rcn = self.expr(e.right, intvars)
+            _merge(static, rst)
+            _merge(counts, rcn)
         if not is_vector:
             _merge(static, {
                 _ALU: self.cost.binop(op, self._scalar_type(e.left))})
@@ -626,7 +696,47 @@ class _FuncCodegen:
         _merge(static, {_MATH: self.cost.math(e.name, operand_t)})
         return f"_m_{e.name}({', '.join(parts)})", static, counts
 
-    def _vecload_expr(self, e: ir.VecLoad, intvars):
+    def _vec_operands(self, op: str, args: list[ir.Expr], intvars):
+        """Codes of the operands of a vector op, with no numpy temporary
+        per operand: the op builds a fresh array, so a ``VecLoad`` reads
+        as a slice view, and a splat reads as a dtype scalar wherever
+        numpy can broadcast it (see ``_scalar_operands``)."""
+        static: dict[int, int] = {}
+        counts: dict[str, int] = {}
+        codes = []
+        for arg, scalar in zip(args, _scalar_operands(op, args)):
+            if isinstance(arg, ir.VecLoad):
+                code, ast, acn = self._vecload_expr(arg, intvars, view=True)
+            elif scalar and isinstance(arg, ir.VecSplat):
+                code, ast, acn = self.expr(arg.operand, intvars)
+                _merge(ast, {_MOVE: self.cost.move()})
+                code = self._lane_scalar(arg, arg.operand, code, intvars)
+            elif scalar:  # a vsplat custom instruction
+                code, ast, acn = self._intrinsic_expr(arg, intvars,
+                                                      scalar=True)
+            else:
+                code, ast, acn = self.expr(arg, intvars)
+            _merge(static, ast)
+            _merge(counts, acn)
+            codes.append(code)
+        return codes, static, counts
+
+    def _lane_scalar(self, splat: ir.Expr, operand: ir.Expr, code: str,
+                     intvars) -> str:
+        """The dtype scalar a splat of ``operand`` fills its lanes with."""
+        kind = splat.type.elem.kind
+        dt = self.bind("_dt", numpy_dtype(kind))
+        return f"{dt}({self._real_code(operand, code, intvars, kind)})"
+
+    def _splat_code(self, splat: ir.Expr, operand: ir.Expr, code: str,
+                    intvars) -> str:
+        """A standalone splat: a fresh lane array, filled in place."""
+        kind = splat.type.elem.kind
+        dt = self.bind("_dt", numpy_dtype(kind))
+        value = self._real_code(operand, code, intvars, kind)
+        return f"_splat({splat.type.lanes}, {value}, {dt})"
+
+    def _vecload_expr(self, e: ir.VecLoad, intvars, view: bool = False):
         static: dict[int, int] = {}
         counts: dict[str, int] = {}
         base = self.int_code(e.base, intvars, static, counts)
@@ -641,25 +751,21 @@ class _FuncCodegen:
         slice_code = f"{alias}[{j}:{j} + {lanes}]"
         if e.reverse:
             slice_code += "[::-1]"
-        code = (f"({slice_code}.copy() "
+        if not view:
+            slice_code += ".copy()"
+        code = (f"({slice_code} "
                 f"if 0 <= ({j} := {base}) <= {size} - {lanes} "
                 f"else _oob({e.array!r}, {size}, {j}, {lanes}))")
         return code, static, counts
 
-    def _intrinsic_expr(self, e: ir.IntrinsicCall, intvars):
+    def _intrinsic_expr(self, e: ir.IntrinsicCall, intvars,
+                        scalar: bool = False):
+        """``scalar``: a vsplat operand that may read as a dtype scalar."""
         instr = e.instruction
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
-        parts = []
-        for a in e.args:
-            code, ast, acn = self.expr(a, intvars)
-            _merge(static, ast)
-            _merge(counts, acn)
-            parts.append(code)
+        op = instr.operation
+        a, static, counts = self._vec_operands(op, e.args, intvars)
         _merge(static, {_INTR: self.cost.intrinsic(instr.cycles)})
         _merge(counts, {instr.name: 1})
-        op = instr.operation
-        a = parts
         if op in ("vadd", "cadd"):
             code = f"({a[0]} + {a[1]})"
         elif op in ("vsub", "csub"):
@@ -680,9 +786,10 @@ class _FuncCodegen:
             code = f"(-{a[0]})"
         elif op == "vconj":
             code = f"_npconj({a[0]})"
+        elif op == "vsplat" and scalar:
+            code = self._lane_scalar(e, e.args[0], a[0], intvars)
         elif op == "vsplat":
-            dt = self.bind("_dt", numpy_dtype(e.type.elem.kind))
-            code = f"_np.full({e.type.lanes}, {a[0]}, {dt})"
+            code = self._splat_code(e, e.args[0], a[0], intvars)
         elif op == "vredadd":
             code = f"_fromnp(_npsum({a[0]}))"
         elif op == "vredmin":
@@ -702,8 +809,18 @@ class _FuncCodegen:
     # -- statements ----------------------------------------------------
 
     def stmt(self, s: ir.Stmt, intvars: set[str]):
-        """Return ``(lines, static_charges, static_counts)``."""
+        """Return ``(lines, static_charges, static_counts, linecost)``.
+
+        ``linecost`` splits the static cycles by source line: all on the
+        statement's own line, except for a loop whose body charges are
+        folded into its static ones."""
         self._cur_line = s.line
+        if isinstance(s, ir.ForRange):
+            return self._for_stmt(s, intvars)
+        lines, static, counts = self._stmt(s, intvars)
+        return lines, static, counts, {s.line: sum(static.values())}
+
+    def _stmt(self, s: ir.Stmt, intvars: set[str]):
         if isinstance(s, ir.AssignVar):
             return self._assign_stmt(s, intvars)
         if isinstance(s, ir.Store):
@@ -713,8 +830,6 @@ class _FuncCodegen:
         if isinstance(s, ir.IntrinsicStmt):
             code, static, counts = self.expr(s.call, intvars)
             return [code], static, counts
-        if isinstance(s, ir.ForRange):
-            return self._for_stmt(s, intvars)
         if isinstance(s, ir.While):
             return self._while_stmt(s, intvars)
         if isinstance(s, ir.If):
@@ -799,6 +914,7 @@ class _FuncCodegen:
         counts: dict[str, int] = {}
         start = self.int_code(s.start, intvars, static, counts)
         stop = self.int_code(s.stop, intvars, static, counts)
+        linecost = {s.line: sum(static.values())}
 
         body_vars = _assigned_names(s.body)
         inner = set(intvars) - body_vars
@@ -813,7 +929,31 @@ class _FuncCodegen:
         # Loop-control overhead attributes to the loop's own line,
         # exactly like the tree-walker's per-iteration branch charge.
         _merge(blc, {s.line: self.cost.branch()})
-        flush = self.flush_lines(bstatic, bcounts, blc)
+
+        iterations = f"range({start}, {stop}, {s.step})"
+        lines = []
+        flush = []
+        if any(_can_abrupt(st) for st in s.body):
+            # An iteration may stop early: charge each one as it starts.
+            flush = self.flush_lines(bstatic, bcounts, blc)
+        elif isinstance(s.start, ir.Const) and isinstance(s.stop, ir.Const):
+            # Every iteration charges the same: fold the whole loop into
+            # the enclosing group at translate time.
+            trip = len(range(int(s.start.value), int(s.stop.value),
+                             s.step))
+            if trip:
+                for charges, total in ((bstatic, static), (bcounts, counts),
+                                       (blc, linecost)):
+                    _merge(total, {key: trip * value
+                                   for key, value in charges.items()})
+        else:
+            # Bounds known on entry: charge trip count x one iteration.
+            iterations, trip = f"_r{self.uid()}", f"_n{self.uid()}"
+            lines = [f"{iterations} = range({start}, {stop}, {s.step})",
+                     f"if {iterations}:",
+                     f"    {trip} = len({iterations})"]
+            lines.extend("    " + l for l in self.flush_lines(
+                bstatic, bcounts, blc, times=trip))
 
         if s.var in self.dict_scalars:
             lv = f"_i{self.uid()}"
@@ -821,7 +961,7 @@ class _FuncCodegen:
         else:
             lv = self.local(s.var)
             assign = []
-        lines = [f"for {lv} in range({start}, {stop}, {s.step}):"]
+        lines.append(f"for {lv} in {iterations}:")
         suite = flush + assign + body_lines
         lines.extend("    " + l for l in (suite or ["pass"]))
 
@@ -832,7 +972,7 @@ class _FuncCodegen:
         intvars.difference_update(body_vars)
         if was_int and not loop_var_reassigned:
             intvars.add(s.var)
-        return lines, static, counts
+        return lines, static, counts, linecost
 
     def _while_stmt(self, s: ir.While, intvars):
         body_vars = _assigned_names(s.body)
@@ -974,13 +1114,10 @@ class _FuncCodegen:
         cur_counts: dict[str, int] = {}
         cur_lc: dict[int, int] = {}
         for s in body:
-            slines, sst, scn = self.stmt(s, intvars)
+            slines, sst, scn, slc = self.stmt(s, intvars)
             _merge(cur_static, sst)
             _merge(cur_counts, scn)
-            if self.profile:
-                stmt_cycles = sum(sst.values())
-                if stmt_cycles:
-                    _merge(cur_lc, {s.line: stmt_cycles})
+            _merge(cur_lc, slc)
             cur_lines.extend(slines)
             if _can_abrupt(s):
                 groups.append((cur_lines, cur_static, cur_counts,

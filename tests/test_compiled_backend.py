@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.errors import SimulationError
+from repro.ir import nodes as ir
+from repro.mlab.interp import MatlabInterpreter
 from repro.sim.compiled import CompiledSimulator
 from repro.sim.machine import Simulator
 
@@ -60,11 +62,13 @@ _KERNELS = {
 }
 
 
-def assert_backends_agree(result, inputs):
-    """Run both executors on one compilation; everything must match."""
-    ref = Simulator(result.module, result.processor).run(list(inputs))
-    comp = CompiledSimulator(result.module, result.processor) \
-        .run(list(inputs))
+def assert_backends_agree(result, inputs, hotspots=False):
+    """Run both executors on one compilation; everything must match
+    (with ``hotspots``, the per-line cycle tables too)."""
+    ref = Simulator(result.module, result.processor,
+                    profile_lines=hotspots).run(list(inputs))
+    comp = CompiledSimulator(result.module, result.processor,
+                             profile_lines=hotspots).run(list(inputs))
     assert len(ref.outputs) == len(comp.outputs)
     for i, (a, b) in enumerate(zip(ref.outputs, comp.outputs)):
         assert np.array_equal(np.asarray(a), np.asarray(b)), \
@@ -75,6 +79,7 @@ def assert_backends_agree(result, inputs):
     assert ref.report.by_category == comp.report.by_category
     assert ref.report.instruction_counts == comp.report.instruction_counts
     assert ref.stdout == comp.stdout
+    assert ref.line_cycles == comp.line_cycles
     return ref, comp
 
 
@@ -279,6 +284,111 @@ def test_compiled_program_reusable_across_runs():
                               np.asarray(comp.outputs[0]))
         assert ref.report.total == comp.report.total
         assert ref.report.by_category == comp.report.by_category
+
+
+# ----------------------------------------------------------------------
+# Loop-level charging and vector operands
+# ----------------------------------------------------------------------
+
+
+def _loop_suites(result) -> list[str]:
+    """First line of each ``for`` suite in the entry's generated Python."""
+    source = CompiledSimulator(result.module, result.processor) \
+        .program.dump_source().splitlines()
+    return [source[i + 1].strip() for i, line in enumerate(source)
+            if line.lstrip().startswith("for ")]
+
+
+def test_zero_trip_runtime_loop_leaves_no_counter_key():
+    src = """
+function s = f(x, n)
+s = 0;
+for k = 1:n
+    s = s + x(k) * x(k);
+end
+end
+"""
+    result = compile_source(src, args=[arg((1, 8)), arg()])
+    x = np.arange(1.0, 9.0).reshape(1, 8)
+    for hotspots in (False, True):
+        _, ran = assert_backends_agree(result, [x, 5.0], hotspots)
+        _, skipped = assert_backends_agree(result, [x, 0.0], hotspots)
+        # The loop's own instructions leave no key, not even a zero.
+        assert set(skipped.report.instruction_counts) < \
+            set(ran.report.instruction_counts)
+        assert 0 not in skipped.report.instruction_counts.values()
+        assert 0 not in skipped.report.by_category.values()
+    # The loop is charged once, ahead of it, scaled by its trip count.
+    assert not any(line.startswith("_a[") for line in _loop_suites(result))
+
+
+def test_loop_with_break_charges_each_iteration():
+    src = """
+function s = f(x)
+s = 0;
+for k = 1:8
+    s = s + x(k) * 2;
+    if s > 10
+        break;
+    end
+end
+end
+"""
+    result = compile_source(src, args=[arg((1, 8))])
+    for x in ([1.0] * 8, [4.0] * 8, [-1.0] * 8):
+        assert_backends_agree(result, [np.array([x])], hotspots=True)
+    # An iteration may stop early, so none is charged ahead of time.
+    assert any(line.startswith("_a[") for line in _loop_suites(result))
+
+
+def test_constant_nest_is_one_flush_with_exact_line_cycles():
+    src = """
+function y = f(x)
+y = zeros(4, 6);
+for i = 1:4
+    for j = 1:6
+        y(i, j) = x(i) * j + 1;
+    end
+end
+end
+"""
+    for options in (None, CompilerOptions.baseline()):
+        result = compile_source(src, args=[arg((1, 4))], options=options)
+        ref, _ = assert_backends_agree(result, [np.array([[1.0, -2.0, 3.0,
+                                                           0.5]])],
+                                       hotspots=True)
+        assert sum(ref.line_cycles.values()) == ref.report.total
+        source = CompiledSimulator(result.module, result.processor) \
+            .program.dump_source()
+        charged = [line for line in source.splitlines()
+                   if line.lstrip().startswith(("_a[", "_ic["))]
+        assert charged and all(line.startswith("    _")
+                               for line in charged), source
+
+
+@pytest.mark.parametrize("statement", [
+    "x(2:9) = x(1:8) + 1;",
+    "x(1:8) = x(2:9) + 1;",
+    "x(2:9) = x(8:-1:1) + 1;",
+    "x(1:8) = x(9:-1:2) .* x(1:8);",
+])
+def test_overlapping_vector_shift_parity(statement):
+    # Operand loads read as views, not copies: a store into the array
+    # they view must still see the values from before the statement.
+    src = f"""
+function x = f(x)
+{statement}
+end
+"""
+    x = np.arange(1.0, 17.0).reshape(1, 16)
+    check_source(src, [arg((1, 16))], [x])
+    golden = MatlabInterpreter(src).call("f", [x.copy()], nargout=1)
+    result = compile_source(src, args=[arg((1, 16))])
+    assert any(isinstance(stmt, ir.VecStore) for stmt in
+               ir.walk_statements(result.module.function(
+                   result.module.entry).body))
+    run = result.simulate([x], backend="compiled")
+    assert np.array_equal(run.outputs[0], np.asarray(golden[0]))
 
 
 # ----------------------------------------------------------------------

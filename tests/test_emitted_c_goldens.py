@@ -5,13 +5,15 @@ builds — the full optimizer on ``generic_scalar_dsp``,
 ``vliw_simd_dsp`` and ``wide_simd_dsp``, and
 ``CompilerOptions.baseline()`` on ``generic_scalar_dsp`` —
 ``emitted_c_goldens.json`` records the sha256 of ``c_source()``, the
-compiled simulator's cycle total on the kernel's seed-0 inputs, the
-pass pipeline's ``pass_stats`` (change count per pass and rounds per
+simulated cycle report on the kernel's seed-0 inputs (``total`` as
+``cycles``, ``by_category`` and ``instruction_counts``), the pass
+pipeline's ``pass_stats`` (change count per pass and rounds per
 function), the number of loops the SIMD vectorizer reported as
 vectorized, and the sha256 and node count of the printed IR that
 ``lower_program`` builds, before any pass, in the build's lowering
 mode.  A builder or pass refactor that claims to keep behaviour must
-keep all 40 entries.
+keep all 40 entries, and both simulator backends must reproduce each
+cycle report exactly.
 
 When a change is meant to alter the emitted C, regenerate the file
 with this module's script entry point and review the diff:
@@ -71,17 +73,31 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def build_record(kernel_name: str, build: str) -> dict:
+def compile_build(kernel_name: str, build: str):
     kernel = KERNELS[kernel_name]
     processor, options = BUILDS[build]
-    result = compile_source(kernel.source, kernel.arg_types,
-                            entry=kernel.entry, processor=processor,
-                            options=options(), use_cache=False)
-    run = result.simulate(kernel.inputs(0), backend="compiled")
+    return compile_source(kernel.source, kernel.arg_types,
+                          entry=kernel.entry, processor=processor,
+                          options=options(), use_cache=False)
+
+
+def cycle_record(kernel_name: str, result, backend: str) -> dict:
+    """The golden fields one simulation of the build produces."""
+    report = result.simulate(KERNELS[kernel_name].inputs(0),
+                             backend=backend).report
+    return {"cycles": report.total,
+            "by_category": report.by_category,
+            "instruction_counts": report.instruction_counts}
+
+
+def build_record(kernel_name: str, build: str, result=None) -> dict:
+    kernel = KERNELS[kernel_name]
+    if result is None:
+        result = compile_build(kernel_name, build)
     module = lowered_module(
         kernel, "naive" if build.startswith("baseline/") else "fused")
     return {"c_sha256": sha256(result.c_source()),
-            "cycles": run.report.total,
+            **cycle_record(kernel_name, result, "compiled"),
             "pass_stats": result.pass_stats,
             "loops_vectorized": sum(
                 1 for remark in result.remarks
@@ -100,7 +116,11 @@ def current_table() -> dict:
 @pytest.mark.parametrize("kernel_name", list(KERNELS))
 def test_emitted_c_matches_golden(kernel_name, build):
     expected = json.loads(GOLDENS.read_text())[f"{kernel_name}/{build}"]
-    assert build_record(kernel_name, build) == expected
+    result = compile_build(kernel_name, build)
+    assert build_record(kernel_name, build, result) == expected
+    # The tree-walking reference simulator must charge the same report.
+    reference = cycle_record(kernel_name, result, "reference")
+    assert reference == {key: expected[key] for key in reference}
 
 
 def test_goldens_cover_exactly_the_corpus():

@@ -116,6 +116,25 @@ def test_oracle_flags_real_divergence():
     assert verdict.key().startswith("divergence:")
 
 
+def test_oracle_flags_cycle_report_divergence():
+    """Equal outputs are not enough: the simulators' cycle reports must
+    match too, or a mis-charged loop would pass the fuzz batch."""
+    prog = ProgramGenerator(0).generate()
+
+    class MischargingOracle(DifferentialOracle):
+        def _run_engine(self, result, engine, inputs):
+            outputs, report = super()._run_engine(result, engine, inputs)
+            if engine == "compiled":
+                report.instruction_counts["phantom"] = 1
+            return outputs, report
+
+    assert DifferentialOracle(engines=SIM_ONLY).run(prog).ok
+    verdict = MischargingOracle(engines=SIM_ONLY).run(prog)
+    assert verdict.status == "divergence"
+    assert verdict.key() == "divergence:cycles"
+    assert "instruction_counts" in verdict.detail
+
+
 # ---------------------------------------------------------------------------
 # Reducer
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compiler import CompilerOptions, arg, compile_source
 from repro.errors import UnsupportedFeatureError
 from repro.frontend.parser import parse
 from repro.ir import nodes as ir
@@ -387,3 +388,77 @@ def test_scalar_output_also_input():
 def test_array_output_also_input():
     src = "function x = f(x)\nx(1) = 99;\nend"
     check_program(src, ARGS_V6, [np.arange(1.0, 7.0).reshape(1, -1)])
+
+
+# ----------------------------------------------------------------------
+# Array operands materialized once, ahead of the loop that reads them
+# ----------------------------------------------------------------------
+
+#: name -> (source, arg shapes, simulated cycles of the optimized and
+#: the baseline build on vliw_simd_dsp when the temporary was rebuilt on
+#: every iteration of the loop reading it)
+_MATERIALIZED_OPERANDS = {
+    "dot": ("function y = f(a, b)\ny = dot(a, b + 1);\nend\n",
+            ((1, 8), (1, 8)), (194, 522)),
+    "gather": ("function y = f(a, b)\ny = a(b + 1);\nend\n",
+               ((1, 8), (1, 8)), (208, 528)),
+    "gather_2d": ("function y = f(a, b)\ny = a(b + 1, 1);\nend\n",
+                  ((8, 1), (1, 8)), (226, 570)),
+    "scatter": ("function a = f(a, b)\na(b + 1) = 5;\nend\n",
+                ((1, 8), (1, 8)), (224, 544)),
+}
+
+
+def _loops_writing(body, prefix):
+    """(loop, depth) of every ForRange whose own body stores into an
+    array named ``prefix``..."""
+    found = []
+
+    def walk(stmts, depth):
+        for stmt in stmts:
+            if isinstance(stmt, ir.ForRange):
+                if any(isinstance(s, ir.Store) and s.array.startswith(prefix)
+                       for s in stmt.body):
+                    found.append((stmt, depth))
+                walk(stmt.body, depth + 1)
+            elif isinstance(stmt, ir.If):
+                walk(stmt.then_body + stmt.else_body, depth)
+            elif isinstance(stmt, ir.While):
+                walk(stmt.body, depth + 1)
+
+    walk(body, 0)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(_MATERIALIZED_OPERANDS))
+@pytest.mark.parametrize("mode", ["fused", "naive"])
+def test_array_operand_is_materialized_once_before_its_loop(name, mode):
+    source, shapes, _ = _MATERIALIZED_OPERANDS[name]
+    module = lower(source, "f", [MType(DType.DOUBLE, False, Shape(*shape))
+                                 for shape in shapes], mode=mode)
+    loops = _loops_writing(module.entry_function.body, "_arr")
+    assert [depth for _, depth in loops] == [0], format_module(module)
+
+
+@pytest.mark.parametrize("name", sorted(_MATERIALIZED_OPERANDS))
+def test_materialized_operand_matches_interpreter_in_fewer_cycles(name):
+    source, shapes, before = _MATERIALIZED_OPERANDS[name]
+    a = np.arange(1.0, 9.0).reshape(shapes[0])
+    b = np.array([[3.0, 0.0, 7.0, 1.0, 2.0, 6.0, 5.0, 4.0]])
+    args = [arg(shape) for shape in shapes]
+    check_program(source, args, [a, b])
+    for options, parent_cycles in zip(
+            (CompilerOptions(), CompilerOptions.baseline()), before):
+        result = compile_source(source, args, options=options,
+                                use_cache=False)
+        assert result.simulate([a, b]).report.total < parent_cycles
+
+
+def test_scatter_indexed_by_its_own_values_matches_interpreter():
+    # MATLAB builds the index vector before any element is stored.
+    # Rebuilding it inside the store loop read elements the loop had
+    # already overwritten: 1 7 3 7 5 7 7 7 instead of all sevens.
+    source = "function b = f(b)\nb(b + 1) = 7;\nend\n"
+    _, outputs = check_program(
+        source, [arg((1, 8))], [np.array([[1.0, 2, 3, 4, 5, 6, 7, 0]])])
+    assert np.array_equal(np.asarray(outputs[0]), np.full((1, 8), 7.0))

@@ -345,7 +345,8 @@ end
 
 
 @pytest.mark.parametrize("name", ["fir", "iir", "cdot", "fft", "matmul",
-                                  "xcorr"])
+                                  "xcorr", "channel_est", "qr_gs",
+                                  "inv3x3", "bf_weights"])
 def test_hotspot_backends_agree_exactly(name):
     w = workloads.workload_by_name(name)
     result = compile_source(w.source, w.arg_types, entry=w.entry,
