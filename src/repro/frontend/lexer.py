@@ -13,15 +13,50 @@ Handles the classically awkward corners of MATLAB lexing:
   character — matching MATLAB);
 * ``space_before`` flags so the parser can resolve ``[1 -2]`` vs
   ``[1 - 2]``.
+
+Everything except quotes and block comments is one compiled master
+regex: the scanner calls ``match(text, pos)`` and branches on the name
+of the alternative that matched.  Names and numerals are ASCII only; any
+other character is a :class:`LexError`.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import LexError
 from repro.frontend.source import SourceFile, Span
 from repro.frontend.tokens import KEYWORDS, TRANSPOSE_CONTEXT, Token, TokenKind
 
-_OPERATOR_CHARS = "*/\\^'"  # chars that can follow '.' to form an operator
+_K = TokenKind
+
+_OPERATORS = {
+    ".*": _K.DOT_STAR, "./": _K.DOT_SLASH, ".\\": _K.DOT_BACKSLASH,
+    ".^": _K.DOT_CARET, ".'": _K.DOT_QUOTE, "==": _K.EQ, "~=": _K.NEQ,
+    "<=": _K.LE, ">=": _K.GE, "&&": _K.AMP_AMP, "||": _K.PIPE_PIPE,
+    "+": _K.PLUS, "-": _K.MINUS, "*": _K.STAR, "/": _K.SLASH,
+    "\\": _K.BACKSLASH, "^": _K.CARET, "=": _K.ASSIGN, "<": _K.LT,
+    ">": _K.GT, "&": _K.AMP, "|": _K.PIPE, "~": _K.TILDE, ":": _K.COLON,
+    ",": _K.COMMA, ";": _K.SEMICOLON, "(": _K.LPAREN, ")": _K.RPAREN,
+    "[": _K.LBRACKET, "]": _K.RBRACKET, "{": _K.LBRACE, "}": _K.RBRACE,
+    "@": _K.AT, ".": _K.DOT,
+}
+
+# Alternatives are tried in order: '...' before a '.5' number before the
+# '.' operators.  A continuation ('...' to the end of the line, newline
+# included) separates tokens like a blank.  A number's '.' is left to the
+# operator when one of * / \ ^ ' follows it ('1.^2'); an 'i'/'j' suffix
+# makes it imaginary unless a name character follows ('2ix' is 2 then ix).
+_MASTER = re.compile(r"""
+    (?P<blank>[ \t\r]+|\.\.\.[^\n]*\n?)
+  | (?P<newline>\n)
+  | (?P<comment>%[^\n]*)
+  | (?P<number>(?:[0-9]+(?:\.(?![*/\\^'])[0-9]*)?|\.[0-9]+)
+               (?:[eEdD][+-]?[0-9]+)?(?:[ij](?![A-Za-z0-9_]))?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<operator>\.[*/\\^']|[=~<>]=|&&|\|\||[-+*/\\^=<>&|~:,;()\[\]{}@.])
+  | (?P<quote>')
+""", re.VERBOSE)
 
 
 class Lexer:
@@ -32,240 +67,115 @@ class Lexer:
             source = SourceFile(source)
         self.source = source
         self.text = source.text
-        self.pos = 0
         self.tokens: list[Token] = []
-        self._space_pending = False
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
 
     def tokenize(self) -> list[Token]:
         """Tokenize the whole file, appending a final EOF token."""
-        while self.pos < len(self.text):
-            self._scan_one()
-        self._emit(TokenKind.EOF, self.pos, self.pos)
-        return self.tokens
-
-    # ------------------------------------------------------------------
-    # Scanning machinery
-    # ------------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def _emit(self, kind: TokenKind, start: int, end: int, value: object = None) -> None:
-        token = Token(
-            kind=kind,
-            text=self.text[start:end],
-            span=Span(start, end, self.source.filename),
-            value=value,
-            space_before=self._space_pending,
-        )
-        self.tokens.append(token)
-        self._space_pending = False
-
-    def _last_kind(self) -> TokenKind | None:
-        for token in reversed(self.tokens):
-            return token.kind
-        return None
+        text = self.text
+        filename = self.source.filename
+        tokens = self.tokens
+        append = tokens.append
+        match = _MASTER.match
+        space = False
+        pos = 0
+        size = len(text)
+        while pos < size:
+            m = match(text, pos)
+            if m is None:
+                raise self._error(f"unexpected character {text[pos]!r}", pos)
+            group = m.lastgroup
+            end = m.end()
+            if group == "name":
+                name = m.group()
+                kind = KEYWORDS.get(name)
+                token = Token(kind or _K.IDENT, name, Span(pos, end, filename),
+                              None if kind else name, space)
+            elif group == "blank":
+                space = True
+                pos = end
+                continue
+            elif group == "operator":
+                op = m.group()
+                token = Token(_OPERATORS[op], op, Span(pos, end, filename), None, space)
+            elif group == "newline":
+                token = Token(_K.NEWLINE, "\n", Span(pos, end, filename), None, space)
+            elif group == "number":
+                token = self._number(m.group(), Span(pos, end, filename), space)
+            elif group == "comment":
+                if self._opens_block(pos, end):
+                    end = self._block_comment_end(pos)
+                    space = True
+                pos = end
+                continue
+            elif (tokens and tokens[-1].kind in TRANSPOSE_CONTEXT
+                  and not space):
+                token = Token(_K.QUOTE, "'", Span(pos, end, filename), None, False)
+            else:
+                end = self._string_end(pos)
+                token = Token(_K.STRING, text[pos:end], Span(pos, end, filename),
+                              text[pos + 1:end - 1].replace("''", "'"), space)
+            append(token)
+            space = False
+            pos = end
+        append(Token(_K.EOF, "", Span(pos, pos, filename), None, space))
+        return tokens
 
     def _error(self, message: str, start: int) -> LexError:
         line, col = self.source.line_col(start)
         return LexError(f"{self.source.filename}:{line}:{col}: {message}")
 
-    def _scan_one(self) -> None:
-        ch = self._peek()
+    @staticmethod
+    def _number(literal: str, span: Span, space: bool) -> Token:
+        if literal.isdigit():
+            return Token(_K.INT_NUMBER, literal, span, int(literal), space)
+        kind = _K.NUMBER
+        digits = literal
+        if literal[-1] in "ij":
+            kind = _K.IMAG_NUMBER
+            digits = literal[:-1]
+        value = float(digits.replace("d", "e").replace("D", "E"))  # MATLAB's 1d3
+        return Token(kind, literal, span, value, space)
 
-        if ch in " \t\r":
-            self.pos += 1
-            self._space_pending = True
-            return
-        if ch == "\n":
-            self._emit(TokenKind.NEWLINE, self.pos, self.pos + 1)
-            self.pos += 1
-            return
-        if ch == "%":
-            self._scan_comment()
-            return
-        if self.text.startswith("...", self.pos):
-            self._scan_continuation()
-            return
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            self._scan_number()
-            return
-        if ch.isalpha() or ch == "_":
-            self._scan_ident()
-            return
-        if ch == "'":
-            if self._last_kind() in TRANSPOSE_CONTEXT and not self._space_pending:
-                self._emit(TokenKind.QUOTE, self.pos, self.pos + 1)
-                self.pos += 1
-            else:
-                self._scan_string()
-            return
-        self._scan_operator()
+    def _opens_block(self, start: int, end: int) -> bool:
+        # MATLAB opens a block comment only on a line holding just '%{'.
+        line_start = self.text.rfind("\n", 0, start) + 1
+        return (self.text[start:end].strip() == "%{"
+                and not self.text[line_start:start].strip())
 
-    def _scan_comment(self) -> None:
-        # Block comment: '%{' alone on a line opens, '%}' alone closes.
-        line_start = self.text.rfind("\n", 0, self.pos) + 1
-        before = self.text[line_start:self.pos]
-        if self.text.startswith("%{", self.pos) and before.strip() == "":
-            self._scan_block_comment()
-            return
-        end = self.text.find("\n", self.pos)
-        self.pos = len(self.text) if end < 0 else end  # keep the newline token
-
-    def _scan_block_comment(self) -> None:
-        start = self.pos
+    def _block_comment_end(self, start: int) -> int:
+        # '%{' alone on a line opens, '%}' alone closes; blocks nest.  The
+        # closing line's newline goes with the comment.
+        text = self.text
         depth = 0
-        i = self.pos
-        while i < len(self.text):
-            nl = self.text.find("\n", i)
-            line = self.text[i:nl if nl >= 0 else len(self.text)].strip()
+        i = start
+        while i < len(text):
+            nl = text.find("\n", i)
+            line = text[i:nl if nl >= 0 else len(text)].strip()
             if line == "%{":
                 depth += 1
             elif line == "%}":
                 depth -= 1
                 if depth == 0:
-                    self.pos = nl + 1 if nl >= 0 else len(self.text)
-                    self._space_pending = True
-                    return
+                    return nl + 1 if nl >= 0 else len(text)
             if nl < 0:
                 break
             i = nl + 1
         raise self._error("unterminated block comment", start)
 
-    def _scan_continuation(self) -> None:
-        # '...' swallows the rest of the line and its newline.
-        end = self.text.find("\n", self.pos)
-        self.pos = len(self.text) if end < 0 else end + 1
-        self._space_pending = True
-
-    def _scan_number(self) -> None:
-        start = self.pos
-        i = self.pos
+    def _string_end(self, start: int) -> int:
+        # A string ends at a lone quote on its line; '' is an escaped quote.
         text = self.text
-        while i < len(text) and text[i].isdigit():
-            i += 1
-        is_float = False
-        if i < len(text) and text[i] == ".":
-            # '1.^2' etc: the dot belongs to the operator, not the number.
-            nxt = text[i + 1] if i + 1 < len(text) else ""
-            if not (nxt and nxt in _OPERATOR_CHARS):
-                is_float = True
-                i += 1
-                while i < len(text) and text[i].isdigit():
-                    i += 1
-        if i < len(text) and text[i] in "eEdD":  # MATLAB accepts 1d3 too
-            j = i + 1
-            if j < len(text) and text[j] in "+-":
-                j += 1
-            if j < len(text) and text[j].isdigit():
-                is_float = True
-                i = j
-                while i < len(text) and text[i].isdigit():
-                    i += 1
-        literal = text[start:i].replace("d", "e").replace("D", "E")
-        if i < len(text) and text[i] in "ij" and not self._ident_continues(i + 1):
-            i += 1
-            self._emit(TokenKind.IMAG_NUMBER, start, i, float(literal))
-        elif is_float:
-            self._emit(TokenKind.NUMBER, start, i, float(literal))
-        else:
-            self._emit(TokenKind.INT_NUMBER, start, i, int(literal))
-        self.pos = i
-
-    def _ident_continues(self, i: int) -> bool:
-        if i >= len(self.text):
-            return False
-        ch = self.text[i]
-        return ch.isalnum() or ch == "_"
-
-    def _scan_ident(self) -> None:
-        start = self.pos
-        i = self.pos
-        while i < len(self.text) and (self.text[i].isalnum() or self.text[i] == "_"):
-            i += 1
-        name = self.text[start:i]
-        kind = KEYWORDS.get(name, TokenKind.IDENT)
-        self._emit(kind, start, i, name if kind is TokenKind.IDENT else None)
-        self.pos = i
-
-    def _scan_string(self) -> None:
-        start = self.pos
-        i = self.pos + 1
-        chars: list[str] = []
-        while i < len(self.text):
-            ch = self.text[i]
-            if ch == "\n":
+        line_end = text.find("\n", start)
+        if line_end < 0:
+            line_end = len(text)
+        i = start + 1
+        while True:
+            close = text.find("'", i, line_end)
+            if close < 0:
                 raise self._error("unterminated string literal", start)
-            if ch == "'":
-                if self.text[i + 1:i + 2] == "'":  # '' escapes a quote
-                    chars.append("'")
-                    i += 2
-                    continue
-                i += 1
-                self._emit(TokenKind.STRING, start, i, "".join(chars))
-                self.pos = i
-                return
-            chars.append(ch)
-            i += 1
-        raise self._error("unterminated string literal", start)
-
-    _TWO_CHAR = {
-        ".*": TokenKind.DOT_STAR,
-        "./": TokenKind.DOT_SLASH,
-        ".\\": TokenKind.DOT_BACKSLASH,
-        ".^": TokenKind.DOT_CARET,
-        ".'": TokenKind.DOT_QUOTE,
-        "==": TokenKind.EQ,
-        "~=": TokenKind.NEQ,
-        "<=": TokenKind.LE,
-        ">=": TokenKind.GE,
-        "&&": TokenKind.AMP_AMP,
-        "||": TokenKind.PIPE_PIPE,
-    }
-
-    _ONE_CHAR = {
-        "+": TokenKind.PLUS,
-        "-": TokenKind.MINUS,
-        "*": TokenKind.STAR,
-        "/": TokenKind.SLASH,
-        "\\": TokenKind.BACKSLASH,
-        "^": TokenKind.CARET,
-        "=": TokenKind.ASSIGN,
-        "<": TokenKind.LT,
-        ">": TokenKind.GT,
-        "&": TokenKind.AMP,
-        "|": TokenKind.PIPE,
-        "~": TokenKind.TILDE,
-        ":": TokenKind.COLON,
-        ",": TokenKind.COMMA,
-        ";": TokenKind.SEMICOLON,
-        "(": TokenKind.LPAREN,
-        ")": TokenKind.RPAREN,
-        "[": TokenKind.LBRACKET,
-        "]": TokenKind.RBRACKET,
-        "{": TokenKind.LBRACE,
-        "}": TokenKind.RBRACE,
-        "@": TokenKind.AT,
-        ".": TokenKind.DOT,
-    }
-
-    def _scan_operator(self) -> None:
-        two = self.text[self.pos:self.pos + 2]
-        if two in self._TWO_CHAR:
-            self._emit(self._TWO_CHAR[two], self.pos, self.pos + 2)
-            self.pos += 2
-            return
-        one = self._peek()
-        kind = self._ONE_CHAR.get(one)
-        if kind is None:
-            raise self._error(f"unexpected character {one!r}", self.pos)
-        self._emit(kind, self.pos, self.pos + 1)
-        self.pos += 1
+            if not text.startswith("''", close):
+                return close + 1
+            i = close + 2
 
 
 def tokenize(source: SourceFile | str) -> list[Token]:

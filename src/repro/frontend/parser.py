@@ -41,13 +41,18 @@ _BLOCK_ENDERS = frozenset(
     }
 )
 
-_COMPARISON_OPS = {
-    _K.EQ: "==",
-    _K.NEQ: "~=",
-    _K.LT: "<",
-    _K.LE: "<=",
-    _K.GT: ">",
-    _K.GE: ">=",
+#: The left-associative operators looser than ':', as (precedence, op).
+_LOOSE_BINARY_OPS = {
+    _K.PIPE_PIPE: (0, "||"),
+    _K.AMP_AMP: (1, "&&"),
+    _K.PIPE: (2, "|"),
+    _K.AMP: (3, "&"),
+    _K.EQ: (4, "=="),
+    _K.NEQ: (4, "~="),
+    _K.LT: (4, "<"),
+    _K.LE: (4, "<="),
+    _K.GT: (4, ">"),
+    _K.GE: (4, ">="),
 }
 
 _ADDITIVE_OPS = {_K.PLUS: "+", _K.MINUS: "-"}
@@ -89,7 +94,9 @@ class Parser:
         if isinstance(source, str):
             source = SourceFile(source, filename)
         self.source = source
+        # One spare EOF lets one-token lookahead index without a bound check.
         self.tokens = tokenize(source)
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
         # Context depths for newline/end handling.
         self._paren_depth = 0
@@ -101,11 +108,10 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def _at(self, kind: TokenKind, ahead: int = 0) -> bool:
-        return self._peek(ahead).kind is kind
+        return self.tokens[self.pos + ahead].kind is kind
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -290,7 +296,7 @@ class Parser:
             elif kind in (_K.RBRACKET, _K.RBRACE, _K.RPAREN):
                 depth -= 1
                 if depth == 0:
-                    return self.tokens[i + 1].kind is _K.ASSIGN if i + 1 < len(self.tokens) else False
+                    return self.tokens[i + 1].kind is _K.ASSIGN
             elif kind in (_K.NEWLINE, _K.EOF) and depth <= 1:
                 # A newline directly inside the outer [ ] means matrix literal.
                 return False
@@ -379,48 +385,17 @@ class Parser:
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------
 
-    def _parse_expression(self) -> ast.Expr:
-        return self._parse_short_or()
-
-    def _parse_short_or(self) -> ast.Expr:
-        left = self._parse_short_and()
-        while self._at(_K.PIPE_PIPE):
-            self._advance()
-            right = self._parse_short_and()
-            left = ast.BinaryOp(span=left.span.merge(right.span), op="||", left=left, right=right)
-        return left
-
-    def _parse_short_and(self) -> ast.Expr:
-        left = self._parse_elem_or()
-        while self._at(_K.AMP_AMP):
-            self._advance()
-            right = self._parse_elem_or()
-            left = ast.BinaryOp(span=left.span.merge(right.span), op="&&", left=left, right=right)
-        return left
-
-    def _parse_elem_or(self) -> ast.Expr:
-        left = self._parse_elem_and()
-        while self._at(_K.PIPE):
-            self._advance()
-            right = self._parse_elem_and()
-            left = ast.BinaryOp(span=left.span.merge(right.span), op="|", left=left, right=right)
-        return left
-
-    def _parse_elem_and(self) -> ast.Expr:
-        left = self._parse_comparison()
-        while self._at(_K.AMP):
-            self._advance()
-            right = self._parse_comparison()
-            left = ast.BinaryOp(span=left.span.merge(right.span), op="&", left=left, right=right)
-        return left
-
-    def _parse_comparison(self) -> ast.Expr:
+    def _parse_expression(self, min_precedence: int = 0) -> ast.Expr:
+        """Precedence climbing over ``_LOOSE_BINARY_OPS`` above ranges."""
         left = self._parse_range()
-        while self._peek().kind in _COMPARISON_OPS:
-            op = _COMPARISON_OPS[self._advance().kind]
-            right = self._parse_range()
-            left = ast.BinaryOp(span=left.span.merge(right.span), op=op, left=left, right=right)
-        return left
+        while True:
+            entry = _LOOSE_BINARY_OPS.get(self.tokens[self.pos].kind)
+            if entry is None or entry[0] < min_precedence:
+                return left
+            self._advance()
+            right = self._parse_expression(entry[0] + 1)
+            left = ast.BinaryOp(span=left.span.merge(right.span), op=entry[1],
+                                left=left, right=right)
 
     def _parse_range(self) -> ast.Expr:
         first = self._parse_additive()

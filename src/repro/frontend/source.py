@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """A half-open [start, end) byte range in a source file."""
 
@@ -36,9 +36,10 @@ class SourceFile:
 
     def __post_init__(self) -> None:
         starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                starts.append(i + 1)
+        nl = self.text.find("\n")
+        while nl >= 0:
+            starts.append(nl + 1)
+            nl = self.text.find("\n", nl + 1)
         self._line_starts = starts
 
     def line_col(self, offset: int) -> tuple[int, int]:

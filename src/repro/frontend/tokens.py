@@ -80,6 +80,10 @@ class TokenKind(enum.Enum):
     NEWLINE = "newline"
     EOF = "eof"
 
+    # Members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ is a Python-level call on every set or dict lookup.
+    __hash__ = object.__hash__
+
 
 #: Reserved words mapped to their keyword token kinds.
 KEYWORDS = {
@@ -99,7 +103,7 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     """One lexical token.
 

@@ -21,6 +21,7 @@ Inference is a forward abstract interpretation over the AST:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from repro import numeric
 from repro.errors import SemanticError, UnsupportedFeatureError
@@ -111,7 +112,7 @@ class Inferencer:
         line, col = self.source.line_col(span.start)
         return f"{self.source.filename}:{line}:{col}: "
 
-    def error(self, message: str, span: Span) -> None:
+    def error(self, message: str, span: Span) -> NoReturn:
         raise SemanticError(self._where(span) + message)
 
     def unsupported(self, message: str, span: Span) -> None:
@@ -181,7 +182,7 @@ class _FunctionAnalyzer:
 
     # -- plumbing ---------------------------------------------------------
 
-    def error(self, message: str, span: Span) -> None:
+    def error(self, message: str, span: Span) -> NoReturn:
         self.owner.error(message, span)
 
     def unsupported(self, message: str, span: Span) -> None:
@@ -399,17 +400,13 @@ class _FunctionAnalyzer:
             body_env = self.infer_body(stmt.body, body_env)
             merged = _merge_union(env, body_env)
             if merged.same_types(env):
-                break
+                # This round inferred the body on the stable env, so the
+                # node types it recorded are the fixpoint's.
+                return merged
             env = merged
-        else:
-            self.error(
-                f"types in loop over {stmt.var!r} did not stabilize "
-                f"(array growing inside the loop?)", stmt.span)
-        # Re-run once on the stable env so node types reflect the fixpoint.
-        final = env.copy()
-        final.define(stmt.var, loop_var_t, stmt.span, is_loop_var=True)
-        self.infer_body(stmt.body, final)
-        return _merge_union(env, final)
+        self.error(
+            f"types in loop over {stmt.var!r} did not stabilize "
+            f"(array growing inside the loop?)", stmt.span)
 
     def _loop_var_type(self, iterable_t: MType) -> MType:
         if iterable_t.shape.is_row or iterable_t.is_scalar:
@@ -425,13 +422,9 @@ class _FunctionAnalyzer:
             body_env = self.infer_body(stmt.body, env.copy())
             merged = _merge_union(env, body_env)
             if merged.same_types(env):
-                break
+                return merged
             env = merged
-        else:
-            self.error("types in while loop did not stabilize", stmt.span)
-        self.infer_expr(stmt.condition, env)
-        final = self.infer_body(stmt.body, env.copy())
-        return _merge_union(env, final)
+        self.error("types in while loop did not stabilize", stmt.span)
 
     def _stmt_Switch(self, stmt: ast.Switch, env: Environment) -> Environment:
         self.infer_expr(stmt.subject, env)

@@ -47,9 +47,9 @@ class Environment:
         return list(self._symbols)
 
     def copy(self) -> "Environment":
-        return Environment({k: Symbol(v.name, v.mtype, v.span, is_param=v.is_param,
-                                      is_loop_var=v.is_loop_var)
-                            for k, v in self._symbols.items()})
+        # Symbols are shared: ``define`` replaces a binding and nothing
+        # mutates a Symbol in place.
+        return Environment(self._symbols)
 
     def join(self, other: "Environment") -> "Environment":
         """Merge two branch environments; only common names survive."""

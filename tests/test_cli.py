@@ -124,6 +124,18 @@ def test_compile_error_reported(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, where, char", [
+    ("\u00e9t\u00e9 = x * 2;\ny = \u00e9t\u00e9;", "2:1", "\u00e9"),
+    ("y = x + \u00b2;", "2:9", "\u00b2"),
+])
+def test_non_ascii_source_is_a_lex_error(tmp_path, capsys, line, where, char):
+    bad = tmp_path / "bad.m"
+    bad.write_text(f"function y = f(x)\n{line}\nend\n", encoding="utf-8")
+    assert main([str(bad), "--args", "double"]) == 1
+    err = capsys.readouterr().err
+    assert f"bad.m:{where}: unexpected character '{char}'" in err
+
+
 def test_parser_help_mentions_examples():
     parser = build_parser()
     assert "repro-mc" in parser.format_usage()

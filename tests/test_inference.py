@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SemanticError, UnsupportedFeatureError
 from repro.frontend.parser import parse
-from repro.semantics.inference import specialize_program
+from repro.semantics.inference import _FunctionAnalyzer, specialize_program
 from repro.semantics.shapes import Shape
 from repro.semantics.types import DType, MType
 
@@ -222,6 +222,60 @@ def test_loop_variable_after_loop():
     src = "function y = f()\nfor k = 1:5\nend\ny = k;\nend"
     sp = infer(src, "f", [])
     assert sp.entry.result_types[0].is_scalar
+
+
+def _inner_statement_inferences(depth: int, monkeypatch) -> int:
+    """How often a ``depth``-deep ``for`` nest's innermost statement is
+    inferred; every type in the nest is stable from the first round."""
+    loop_vars = "ijkl"[:depth]
+    src = ("function s = f(x)\ns = 0;\n"
+           + "".join(f"for {v} = 1:4\n" for v in loop_vars)
+           + f"s = s + x({loop_vars[0]});\n" + "end\n" * depth + "end\n")
+    program = parse(src)
+    stmt = program.functions[0].body[1]
+    for _ in range(depth):
+        stmt = stmt.body[0]
+    calls = []
+    original = _FunctionAnalyzer.infer_stmt
+
+    def counting(self, node, env):
+        calls.append(node is stmt)
+        return original(self, node, env)
+
+    monkeypatch.setattr(_FunctionAnalyzer, "infer_stmt", counting)
+    specialize_program(program, "f", [arg_row(4)])
+    return sum(calls)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_loop_nest_inference_is_linear_in_depth(depth, monkeypatch):
+    # Each loop's first round meets its new loop variable and a second
+    # round proves the env stable; that round's node types are final,
+    # so nothing re-infers the body (which cost 2**(depth + 1) - 1).
+    assert _inner_statement_inferences(depth, monkeypatch) == depth + 1
+
+
+def _growing_chain(loop_head: str) -> str:
+    # Each round lets the growth of v20 reach one more of v19 ... v1,
+    # so the env needs more rounds than the fixpoint bound allows.
+    n = 20
+    return ("function y = f(k)\n"
+            + "".join(f"v{i} = 0;\n" for i in range(1, n + 1))
+            + loop_head + "\n"
+            + "".join(f"v{i} = v{i + 1};\n" for i in range(1, n))
+            + f"v{n} = [v{n}, 1];\nend\ny = v1;\nend\n")
+
+
+def test_for_loop_that_keeps_growing_does_not_stabilize():
+    with pytest.raises(SemanticError,
+                       match="types in loop over 'i' did not stabilize"):
+        infer(_growing_chain("for i = 1:k"), "f", [MType.double()])
+
+
+def test_while_loop_that_keeps_growing_does_not_stabilize():
+    with pytest.raises(SemanticError,
+                       match="types in while loop did not stabilize"):
+        infer(_growing_chain("while numel(v1) < k"), "f", [MType.double()])
 
 
 # ----------------------------------------------------------------------

@@ -175,6 +175,19 @@ def test_percent_brace_not_alone_is_line_comment():
     assert kinds("a %{ not a block\nb") == [K.IDENT, K.NEWLINE, K.IDENT]
 
 
+def test_percent_brace_with_trailing_text_is_line_comment():
+    # MATLAB opens a block only when '%{' is alone on its line.
+    assert kinds("%{ note\nx = 1;\n") == [
+        K.NEWLINE, K.IDENT, K.ASSIGN, K.INT_NUMBER, K.SEMICOLON, K.NEWLINE]
+
+
+def test_well_formed_block_comment_hides_its_lines():
+    source = "x = 1;\n  %{\ny = 'not a string\n%}\nz = 2;\n"
+    tokens = [t for t in tokenize(source) if t.kind is K.IDENT]
+    assert [t.text for t in tokens] == ["x", "z"]
+    assert tokens[1].space_before  # the block separates like whitespace
+
+
 def test_continuation_joins_lines():
     tokens = kinds("a + ...\n b")
     assert tokens == [K.IDENT, K.PLUS, K.IDENT]
@@ -245,6 +258,22 @@ def test_space_flag_both_sides():
 def test_unexpected_character_raises():
     with pytest.raises(LexError, match="unexpected character"):
         tokenize("a $ b")
+
+
+@pytest.mark.parametrize("source, where, char", [
+    ("\u00e9t\u00e9 = x * 2;", "1:1", "\u00e9"),   # letters outside ASCII
+    ("y = x + \u00b2;", "1:9", "\u00b2"),          # a Unicode digit
+    ("y = 3\u0663;", "1:6", "\u0663"),             # Arabic-Indic three
+])
+def test_names_and_numerals_are_ascii(source, where, char):
+    with pytest.raises(LexError, match=f"<string>:{where}: unexpected "
+                                       f"character '{char}'"):
+        tokenize(source)
+
+
+def test_non_ascii_text_in_strings_and_comments_is_kept():
+    tokens = tokenize("s = '\u00e9t\u00e9'; % caf\u00e9\n")
+    assert tokens[2].kind is K.STRING and tokens[2].value == "\u00e9t\u00e9"
 
 
 def test_spans_cover_source():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import LexError, ParseError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse, parse_expression
 
@@ -404,6 +404,22 @@ def test_stray_operator():
 def test_error_message_has_location():
     with pytest.raises(ParseError, match=r"<string>:2:\d+"):
         parse("a = 1;\nb = {};")
+
+
+@pytest.mark.parametrize("line, where", [
+    ("\u00e9t\u00e9 = x * 2;\ny = \u00e9t\u00e9;", "2:1"),  # a non-ASCII name
+    ("y = x + \u00b2;", "2:9"),                           # a non-ASCII digit
+])
+def test_non_ascii_source_is_a_lex_error(line, where):
+    with pytest.raises(LexError, match=f"f.m:{where}: unexpected character"):
+        parse(f"function y = f(x)\n{line}\nend\n", "f.m")
+
+
+@pytest.mark.parametrize("source", ["x = [1 -", "x = a(:", "x = a."])
+def test_lookahead_at_the_last_token_reads_eof(source):
+    # One token of lookahead past the last token reads the padding EOF.
+    with pytest.raises(ParseError, match="<string>:1:"):
+        parse(source)
 
 
 def test_walk_visits_all_nodes():
