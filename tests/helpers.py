@@ -8,12 +8,17 @@ Most correctness tests in this suite reduce to a call to it.
 
 from __future__ import annotations
 
+import functools
+import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.compiler import CompilerOptions, compile_source
+from repro.frontend.parser import parse
+from repro.fuzz.generator import GeneratedProgram
 from repro.ir.verifier import verify_module
 from repro.mlab.interp import MatlabInterpreter
 from repro.sim.machine import Simulator
@@ -76,3 +81,61 @@ def check_program(source: str, args, inputs: list,
             assert_outputs_close(host[index], expected, max(tol, 1e-7),
                                  f"gcc output #{index}")
     return optimized, run_opt.outputs
+
+
+# ----------------------------------------------------------------------
+# Cycle-report pins (tests/cycle_pins.json, see tests/test_cycle_pins.py)
+# ----------------------------------------------------------------------
+
+CYCLE_PINS = Path(__file__).with_name("cycle_pins.json")
+
+
+def as_program(source: str, args, inputs: list,
+               entry: str = "f") -> GeneratedProgram:
+    """``source`` with its ``arg()`` types and concrete inputs in the
+    fuzz corpus's JSON-ready form (complex values as [re, im] pairs)."""
+    specs, values = [], []
+    for mtype, value in zip(args, inputs):
+        assert mtype.value is None, "pins hold no compile-time constants"
+        rows, cols = mtype.shape.rows, mtype.shape.cols
+        specs.append((mtype.dtype.name.lower(), mtype.is_complex,
+                      rows, cols))
+        array = np.asarray(value).reshape(rows, cols)
+        if mtype.is_complex:
+            array = np.stack([array.real, array.imag], axis=-1)
+        values.append(array.astype(np.float64).tolist())
+    function = next(f for f in parse(source).functions if f.name == entry)
+    return GeneratedProgram(source=source, entry=entry, mode="compile",
+                            seed=0, param_specs=specs,
+                            input_values=values,
+                            nargout=len(function.returns),
+                            returns=list(function.returns))
+
+
+def report_fields(run) -> dict:
+    """The pinned fields of one simulation; ``line_cycles`` (JSON keys
+    are strings) only when the run was profiled."""
+    fields = {"total": run.report.total,
+              "by_category": run.report.by_category,
+              "instruction_counts": run.report.instruction_counts,
+              "stdout": run.stdout}
+    if run.line_cycles is not None:
+        fields["line_cycles"] = {str(line): cycles for line, cycles
+                                 in sorted(run.line_cycles.items())}
+    return fields
+
+
+@functools.cache
+def cycle_pins() -> dict:
+    return {record["name"]: record
+            for record in json.loads(CYCLE_PINS.read_text())["records"]}
+
+
+def assert_cycles_pinned(name: str, source: str, run) -> None:
+    """``run``'s cycle report equals pin ``name``, which must have been
+    recorded from the same ``source``."""
+    record = cycle_pins()[name]
+    assert record["program"]["source"] == source, \
+        f"{name}: the pinned source differs from the test's"
+    fields = report_fields(run)
+    assert fields == {key: record["report"][key] for key in fields}, name

@@ -1,11 +1,13 @@
-"""Differential tests: compiled-closure backend vs tree-walking reference.
+"""The compiled-closure simulator: values against the interpreter,
+cycles against ``tests/cycle_pins.json``.
 
-The compiled backend must be *indistinguishable* from the reference
-executor: bit-identical outputs, identical cycle totals, identical
-per-category breakdowns, identical custom-instruction counts, identical
-stdout.  These tests sweep the six example DSP kernels (optimized and
-baseline pipelines), hand-written control-flow torture programs, and
-hypothesis-generated kernels.
+Every program here runs through both pipelines (optimized and
+baseline).  Its outputs must match the golden MATLAB interpreter, and
+its cycle report (total, per-category breakdown, custom-instruction
+counts, stdout and, when profiled, per-line cycles) must equal the pin
+recorded for it.  The programs are the six example DSP kernels,
+hand-written control-flow torture programs, and hypothesis families
+whose shape spaces are pinned in full.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import as_program, assert_cycles_pinned, assert_outputs_close
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.errors import SimulationError
+from repro.fuzz.generator import GeneratedProgram
 from repro.ir import nodes as ir
 from repro.mlab.interp import MatlabInterpreter
 from repro.sim.compiled import CompiledSimulator
@@ -26,8 +30,11 @@ from repro.sim.machine import Simulator
 
 KERNEL_DIR = Path(__file__).resolve().parents[1] / "examples" / "mlab"
 
+#: Pipeline mode -> options factory.
+MODES = {"optimized": CompilerOptions, "baseline": CompilerOptions.baseline}
+
 #: (entry, arg specs, input builder) for the six example kernels, at
-#: sizes small enough to keep the double execution fast.
+#: sizes small enough to keep the runs fast.
 _KERNELS = {
     "fir": ("fir",
             [arg((1, 64), dtype="single"), arg((1, 8), dtype="single")],
@@ -61,34 +68,57 @@ _KERNELS = {
                          rng.standard_normal((1, 64)).astype(np.float32)]),
 }
 
-
-def assert_backends_agree(result, inputs, hotspots=False):
-    """Run both executors on one compilation; everything must match
-    (with ``hotspots``, the per-line cycle tables too)."""
-    ref = Simulator(result.module, result.processor,
-                    profile_lines=hotspots).run(list(inputs))
-    comp = CompiledSimulator(result.module, result.processor,
-                             profile_lines=hotspots).run(list(inputs))
-    assert len(ref.outputs) == len(comp.outputs)
-    for i, (a, b) in enumerate(zip(ref.outputs, comp.outputs)):
-        assert np.array_equal(np.asarray(a), np.asarray(b)), \
-            f"output {i} differs between backends"
-        assert type(a) is type(b), \
-            f"output {i} type differs: {type(a)} vs {type(b)}"
-    assert ref.report.total == comp.report.total
-    assert ref.report.by_category == comp.report.by_category
-    assert ref.report.instruction_counts == comp.report.instruction_counts
-    assert ref.stdout == comp.stdout
-    assert ref.line_cycles == comp.line_cycles
-    return ref, comp
+#: Fixed-source programs, name -> (program, processor).  Each is pinned
+#: as ``compiled_backend/<name>/<mode>`` for both modes.
+CASES: dict[str, tuple[GeneratedProgram, str]] = {}
 
 
-def check_source(source, args, inputs, entry=None,
-                 processor="vliw_simd_dsp"):
-    for options in (None, CompilerOptions.baseline()):
-        result = compile_source(source, args=args, entry=entry,
-                                processor=processor, options=options)
-        assert_backends_agree(result, inputs)
+def _case(name, source, args, inputs, entry="f",
+          processor="vliw_simd_dsp"):
+    CASES[name] = (as_program(source, args, inputs, entry), processor)
+
+
+def _compile(program: GeneratedProgram, processor: str, mode: str):
+    return compile_source(program.source, args=program.arg_specs(),
+                          entry=program.entry, processor=processor,
+                          options=MODES[mode]())
+
+
+def assert_matches_interpreter(program: GeneratedProgram, run) -> None:
+    golden = MatlabInterpreter(program.source).call(
+        program.entry, program.inputs(), nargout=program.nargout)
+    single = any(spec[0] == "single" for spec in program.param_specs)
+    for index, expected in enumerate(golden):
+        assert_outputs_close(run.outputs[index], expected,
+                             2e-4 if single else 1e-9,
+                             f"output #{index}")
+
+
+def check_program(pin, program, processor="vliw_simd_dsp",
+                  modes=tuple(MODES), hotspots=False):
+    """Run ``program`` in each mode; returns the (result, run) pairs."""
+    pairs = []
+    for mode in modes:
+        result = _compile(program, processor, mode)
+        run = result.simulate(program.inputs(), hotspots=hotspots)
+        walker = Simulator(result.module, result.processor,
+                           profile_lines=hotspots).run(program.inputs())
+        assert report_of(walker) == report_of(run)
+        assert_matches_interpreter(program, run)
+        assert_cycles_pinned(f"{pin}/{mode}", program.source, run)
+        pairs.append((result, run))
+    return pairs
+
+
+def report_of(run):
+    return (run.report.total, run.report.by_category,
+            run.report.instruction_counts, run.stdout, run.line_cycles)
+
+
+def check_case(name, modes=tuple(MODES), hotspots=False):
+    program, processor = CASES[name]
+    return check_program(f"compiled_backend/{name}", program, processor,
+                         modes, hotspots)
 
 
 # ----------------------------------------------------------------------
@@ -96,24 +126,22 @@ def check_source(source, args, inputs, entry=None,
 # ----------------------------------------------------------------------
 
 
+for _name, (_entry, _specs, _make) in _KERNELS.items():
+    _case(f"kernel_{_name}", (KERNEL_DIR / f"{_entry}.m").read_text(),
+          _specs, _make(np.random.default_rng(3)), entry=_entry)
+_case("kernel_fir_scalar_processor", (KERNEL_DIR / "fir.m").read_text(),
+      _KERNELS["fir"][1], _KERNELS["fir"][2](np.random.default_rng(5)),
+      entry="fir", processor="generic_scalar_dsp")
+
+
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))
 @pytest.mark.parametrize("mode", ["optimized", "baseline"])
 def test_kernel_parity(kernel, mode):
-    entry, specs, make_inputs = _KERNELS[kernel]
-    source = (KERNEL_DIR / f"{entry}.m").read_text()
-    options = CompilerOptions.baseline() if mode == "baseline" else None
-    result = compile_source(source, args=specs, entry=entry,
-                            options=options)
-    inputs = make_inputs(np.random.default_rng(3))
-    assert_backends_agree(result, inputs)
+    check_case(f"kernel_{kernel}", modes=(mode,))
 
 
 def test_kernel_parity_scalar_processor():
-    entry, specs, make_inputs = _KERNELS["fir"]
-    source = (KERNEL_DIR / f"{entry}.m").read_text()
-    result = compile_source(source, args=specs, entry=entry,
-                            processor="generic_scalar_dsp")
-    assert_backends_agree(result, make_inputs(np.random.default_rng(5)))
+    check_case("kernel_fir_scalar_processor", modes=("optimized",))
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +149,7 @@ def test_kernel_parity_scalar_processor():
 # ----------------------------------------------------------------------
 
 
-def test_break_and_continue_parity():
-    src = """
+_case("break_and_continue", """
 function s = f(x)
 s = 0;
 for k = 1:length(x)
@@ -135,13 +162,10 @@ for k = 1:length(x)
     s = s + x(k);
 end
 end
-"""
-    x = np.array([[3.0, -1.0, 4.0, -2.0, 5.0, 6.0, -7.0, 8.0]])
-    check_source(src, [arg((1, 8))], [x])
+""", [arg((1, 8))], [np.array([[3.0, -1.0, 4.0, -2.0, 5.0, 6.0, -7.0,
+                                8.0]])])
 
-
-def test_early_return_parity():
-    src = """
+_EARLY_RETURN = """
 function y = f(x)
 y = 0;
 for k = 1:length(x)
@@ -154,14 +178,12 @@ end
 y = y * 10;
 end
 """
-    hits = np.array([[0.5, 3.0, 1.0, 1.0]])
-    misses = np.array([[0.5, 0.25, 1.0, 1.5]])
-    check_source(src, [arg((1, 4))], [hits])
-    check_source(src, [arg((1, 4))], [misses])
+_case("early_return_hit", _EARLY_RETURN, [arg((1, 4))],
+      [np.array([[0.5, 3.0, 1.0, 1.0]])])
+_case("early_return_miss", _EARLY_RETURN, [arg((1, 4))],
+      [np.array([[0.5, 0.25, 1.0, 1.5]])])
 
-
-def test_while_loop_parity():
-    src = """
+_case("while_loop", """
 function n = f(x)
 n = 0;
 while x > 1
@@ -173,12 +195,9 @@ while x > 1
     n = n + 1;
 end
 end
-"""
-    check_source(src, [arg()], [27.0])
+""", [arg()], [27.0])
 
-
-def test_zero_trip_loop_parity():
-    src = """
+_ZERO_TRIP = """
 function s = f(n)
 s = 1;
 for k = 1:n
@@ -187,14 +206,12 @@ end
 s = s * 2;
 end
 """
-    check_source(src, [arg()], [0.0])
-    check_source(src, [arg()], [4.0])
+_case("zero_trip_none", _ZERO_TRIP, [arg()], [0.0])
+_case("zero_trip_four", _ZERO_TRIP, [arg()], [4.0])
 
-
-def test_short_circuit_guarded_load_parity():
-    # The right operand of && guards an out-of-range load; it must not
-    # be evaluated (nor charged) when the left side already decides.
-    src = """
+# The right operand of && guards an out-of-range load; it must not be
+# evaluated (nor charged) when the left side already decides.
+_case("short_circuit_guarded_load", """
 function s = f(x, n)
 s = 0;
 for k = 1:n
@@ -203,13 +220,9 @@ for k = 1:n
     end
 end
 end
-"""
-    x = np.array([[1.0, -2.0, 3.0]])
-    check_source(src, [arg((1, 3)), arg()], [x, 6.0])
+""", [arg((1, 3)), arg()], [np.array([[1.0, -2.0, 3.0]]), 6.0])
 
-
-def test_nested_function_call_parity():
-    src = """
+_case("nested_function_call", """
 function y = outer(x)
 t = helper(x, 2.0);
 y = helper(t, 0.5) + 1;
@@ -218,40 +231,70 @@ end
 function y = helper(v, s)
 y = v * s;
 end
-"""
-    check_source(src, [arg()], [3.0], entry="outer")
+""", [arg()], [3.0], entry="outer")
 
-
-def test_emit_stdout_parity():
-    src = """
+_case("emit_stdout", """
 function f(x)
 for k = 1:3
     fprintf('step %d: %.2f\\n', k, x * k);
 end
 end
-"""
-    check_source(src, [arg()], [1.5])
+""", [arg()], [1.5])
 
-
-def test_math_functions_parity():
-    src = """
+_MATH = """
 function y = f(x)
 y = sqrt(abs(x)) + sin(x) * cos(x) + exp(-abs(x)) + floor(x) ...
     + round(x) + sign(x) + mod(x, 3);
 end
 """
-    for value in (2.7, -1.3, 0.0):
-        check_source(src, [arg()], [value])
+for _index, _value in enumerate((2.7, -1.3, 0.0)):
+    _case(f"math_functions_{_index}", _MATH, [arg()], [_value])
 
-
-def test_complex_arithmetic_parity():
-    src = """
+_case("complex_arithmetic", """
 function y = f(a, b)
 y = real(a * b + conj(a)) + abs(b) + imag(a / b);
 end
-"""
-    check_source(src, [arg(complex=True), arg(complex=True)],
-                 [1.5 + 2.5j, -0.5 + 1.0j])
+""", [arg(complex=True), arg(complex=True)], [1.5 + 2.5j, -0.5 + 1.0j])
+
+
+def test_break_and_continue_parity():
+    check_case("break_and_continue")
+
+
+def test_early_return_parity():
+    check_case("early_return_hit")
+    check_case("early_return_miss")
+
+
+def test_while_loop_parity():
+    check_case("while_loop")
+
+
+def test_zero_trip_loop_parity():
+    check_case("zero_trip_none")
+    check_case("zero_trip_four")
+
+
+def test_short_circuit_guarded_load_parity():
+    check_case("short_circuit_guarded_load")
+
+
+def test_nested_function_call_parity():
+    check_case("nested_function_call")
+
+
+def test_emit_stdout_parity():
+    (_, run), _ = check_case("emit_stdout")
+    assert run.stdout == "step 1: 1.50\nstep 2: 3.00\nstep 3: 4.50\n"
+
+
+def test_math_functions_parity():
+    for index in range(3):
+        check_case(f"math_functions_{index}")
+
+
+def test_complex_arithmetic_parity():
+    check_case("complex_arithmetic")
 
 
 def test_step_limit_guard_compiled():
@@ -271,19 +314,23 @@ def test_out_of_bounds_detected_compiled():
         simulator.run([np.zeros((1, 4)), 9.0])
 
 
+_SUM_OF_SQUARES = "function s = f(x)\ns = sum(x .* x);\nend"
+_case("sum_of_squares", _SUM_OF_SQUARES, [arg((1, 16))],
+      [np.random.default_rng(0).standard_normal((1, 16))])
+
+
 def test_compiled_program_reusable_across_runs():
-    src = "function s = f(x)\ns = sum(x .* x);\nend"
-    result = compile_source(src, args=[arg((1, 16))])
+    program, _ = CASES["sum_of_squares"]
+    result = _compile(program, "vliw_simd_dsp", "optimized")
     simulator = CompiledSimulator(result.module, result.processor)
     rng = np.random.default_rng(0)
     for _ in range(3):
         x = rng.standard_normal((1, 16))
-        ref = Simulator(result.module, result.processor).run([x])
-        comp = simulator.run([x])
-        assert np.array_equal(np.asarray(ref.outputs[0]),
-                              np.asarray(comp.outputs[0]))
-        assert ref.report.total == comp.report.total
-        assert ref.report.by_category == comp.report.by_category
+        run = simulator.run([x])
+        assert_matches_interpreter(
+            as_program(_SUM_OF_SQUARES, [arg((1, 16))], [x]), run)
+        assert_cycles_pinned("compiled_backend/sum_of_squares/optimized",
+                             _SUM_OF_SQUARES, run)
 
 
 # ----------------------------------------------------------------------
@@ -293,14 +340,12 @@ def test_compiled_program_reusable_across_runs():
 
 def _loop_suites(result) -> list[str]:
     """First line of each ``for`` suite in the entry's generated Python."""
-    source = CompiledSimulator(result.module, result.processor) \
-        .program.dump_source().splitlines()
+    source = result.compiled_program().dump_source().splitlines()
     return [source[i + 1].strip() for i, line in enumerate(source)
             if line.lstrip().startswith("for ")]
 
 
-def test_zero_trip_runtime_loop_leaves_no_counter_key():
-    src = """
+_RUNTIME_LOOP = """
 function s = f(x, n)
 s = 0;
 for k = 1:n
@@ -308,11 +353,18 @@ for k = 1:n
 end
 end
 """
-    result = compile_source(src, args=[arg((1, 8)), arg()])
-    x = np.arange(1.0, 9.0).reshape(1, 8)
+_case("runtime_loop_five", _RUNTIME_LOOP, [arg((1, 8)), arg()],
+      [np.arange(1.0, 9.0).reshape(1, 8), 5.0])
+_case("runtime_loop_zero", _RUNTIME_LOOP, [arg((1, 8)), arg()],
+      [np.arange(1.0, 9.0).reshape(1, 8), 0.0])
+
+
+def test_zero_trip_runtime_loop_leaves_no_counter_key():
     for hotspots in (False, True):
-        _, ran = assert_backends_agree(result, [x, 5.0], hotspots)
-        _, skipped = assert_backends_agree(result, [x, 0.0], hotspots)
+        [(result, ran)] = check_case("runtime_loop_five", ("optimized",),
+                                     hotspots)
+        [(_, skipped)] = check_case("runtime_loop_zero", ("optimized",),
+                                    hotspots)
         # The loop's own instructions leave no key, not even a zero.
         assert set(skipped.report.instruction_counts) < \
             set(ran.report.instruction_counts)
@@ -322,8 +374,7 @@ end
     assert not any(line.startswith("_a[") for line in _loop_suites(result))
 
 
-def test_loop_with_break_charges_each_iteration():
-    src = """
+_LOOP_WITH_BREAK = """
 function s = f(x)
 s = 0;
 for k = 1:8
@@ -334,15 +385,20 @@ for k = 1:8
 end
 end
 """
-    result = compile_source(src, args=[arg((1, 8))])
-    for x in ([1.0] * 8, [4.0] * 8, [-1.0] * 8):
-        assert_backends_agree(result, [np.array([x])], hotspots=True)
+for _index, _value in enumerate((1.0, 4.0, -1.0)):
+    _case(f"loop_with_break_{_index}", _LOOP_WITH_BREAK, [arg((1, 8))],
+          [np.full((1, 8), _value)])
+
+
+def test_loop_with_break_charges_each_iteration():
+    for index in range(3):
+        [(result, _)] = check_case(f"loop_with_break_{index}",
+                                   ("optimized",), hotspots=True)
     # An iteration may stop early, so none is charged ahead of time.
     assert any(line.startswith("_a[") for line in _loop_suites(result))
 
 
-def test_constant_nest_is_one_flush_with_exact_line_cycles():
-    src = """
+_case("constant_nest", """
 function y = f(x)
 y = zeros(4, 6);
 for i = 1:4
@@ -351,77 +407,91 @@ for i = 1:4
     end
 end
 end
-"""
-    for options in (None, CompilerOptions.baseline()):
-        result = compile_source(src, args=[arg((1, 4))], options=options)
-        ref, _ = assert_backends_agree(result, [np.array([[1.0, -2.0, 3.0,
-                                                           0.5]])],
-                                       hotspots=True)
-        assert sum(ref.line_cycles.values()) == ref.report.total
-        source = CompiledSimulator(result.module, result.processor) \
-            .program.dump_source()
+""", [arg((1, 4))], [np.array([[1.0, -2.0, 3.0, 0.5]])])
+
+
+def test_constant_nest_is_one_flush_with_exact_line_cycles():
+    for result, run in check_case("constant_nest", hotspots=True):
+        assert sum(run.line_cycles.values()) == run.report.total
+        source = result.compiled_program().dump_source()
         charged = [line for line in source.splitlines()
                    if line.lstrip().startswith(("_a[", "_ic["))]
         assert charged and all(line.startswith("    _")
                                for line in charged), source
 
 
-@pytest.mark.parametrize("statement", [
+_VECTOR_SHIFTS = [
     "x(2:9) = x(1:8) + 1;",
     "x(1:8) = x(2:9) + 1;",
     "x(2:9) = x(8:-1:1) + 1;",
     "x(1:8) = x(9:-1:2) .* x(1:8);",
-])
+]
+for _index, _statement in enumerate(_VECTOR_SHIFTS):
+    _case(f"vector_shift_{_index}", f"""
+function x = f(x)
+{_statement}
+end
+""", [arg((1, 16))], [np.arange(1.0, 17.0).reshape(1, 16)])
+
+
+@pytest.mark.parametrize("statement", _VECTOR_SHIFTS)
 def test_overlapping_vector_shift_parity(statement):
     # Operand loads read as views, not copies: a store into the array
     # they view must still see the values from before the statement.
-    src = f"""
-function x = f(x)
-{statement}
-end
-"""
-    x = np.arange(1.0, 17.0).reshape(1, 16)
-    check_source(src, [arg((1, 16))], [x])
-    golden = MatlabInterpreter(src).call("f", [x.copy()], nargout=1)
-    result = compile_source(src, args=[arg((1, 16))])
+    (result, _), _ = check_case(
+        f"vector_shift_{_VECTOR_SHIFTS.index(statement)}")
     assert any(isinstance(stmt, ir.VecStore) for stmt in
                ir.walk_statements(result.module.function(
                    result.module.entry).body))
-    run = result.simulate([x], backend="compiled")
-    assert np.array_equal(run.outputs[0], np.asarray(golden[0]))
 
 
 # ----------------------------------------------------------------------
 # Hypothesis-generated programs
 # ----------------------------------------------------------------------
 
-_ops = st.sampled_from(["+", "-", ".*"])
-_chain = st.lists(st.tuples(_ops, st.sampled_from(["a", "b", "2", "0.5"])),
+_OPS = ["+", "-", ".*"]
+_OPERANDS = ["a", "b", "2", "0.5"]
+_chain = st.lists(st.tuples(st.sampled_from(_OPS),
+                            st.sampled_from(_OPERANDS)),
                   min_size=1, max_size=4)
 
 
-def _render_chain(chain) -> str:
+def elementwise_source(chain) -> str:
     expr = "a"
     for op, operand in chain:
         expr = f"({expr} {op} {operand})"
-    return expr
+    return f"function y = f(a, b)\ny = {expr};\nend"
+
+
+def elementwise_sample() -> list[tuple[list[tuple[str, str]], int]]:
+    """The (chain, n) points pinned as ``elementwise/<i>/<mode>``."""
+    rng = np.random.default_rng(2016)
+    sample = []
+    for length in (1, 1, 2, 2, 3, 3, 4, 4):
+        chain = [(_OPS[rng.integers(len(_OPS))],
+                  _OPERANDS[rng.integers(len(_OPERANDS))])
+                 for _ in range(length)]
+        sample.append((chain, int(rng.integers(1, 25))))
+    return sample
 
 
 @given(_chain, st.integers(min_value=1, max_value=24),
        st.integers(min_value=0, max_value=2 ** 31))
 @settings(max_examples=25, deadline=None)
 def test_elementwise_program_parity(chain, n, seed):
-    source = f"function y = f(a, b)\ny = {_render_chain(chain)};\nend"
     rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal((1, n)), rng.standard_normal((1, n))]
-    check_source(source, [arg((1, n)), arg((1, n))], inputs)
+    program = as_program(elementwise_source(chain),
+                         [arg((1, n)), arg((1, n))],
+                         [rng.standard_normal((1, n)),
+                          rng.standard_normal((1, n))])
+    for mode in MODES:
+        result = _compile(program, "vliw_simd_dsp", mode)
+        run = result.simulate(program.inputs())
+        assert_matches_interpreter(program, run)
+        assert run.report.total == sum(run.report.by_category.values())
 
 
-@given(st.integers(min_value=1, max_value=20),
-       st.integers(min_value=0, max_value=2 ** 31))
-@settings(max_examples=15, deadline=None)
-def test_reduction_program_parity(n, seed):
-    source = """
+REDUCTION = """
 function s = f(a, b)
 s = 0;
 for k = 1:length(a)
@@ -429,17 +499,25 @@ for k = 1:length(a)
 end
 end
 """
+
+
+def reduction_program(n: int, seed: int) -> GeneratedProgram:
     rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal((1, n)), rng.standard_normal((1, n))]
-    check_source(source, [arg((1, n)), arg((1, n))], inputs)
+    return as_program(REDUCTION, [arg((1, n)), arg((1, n))],
+                      [rng.standard_normal((1, n)),
+                       rng.standard_normal((1, n))])
 
 
-@given(st.integers(min_value=1, max_value=16),
-       st.integers(min_value=1, max_value=6),
+@given(st.integers(min_value=1, max_value=20),
        st.integers(min_value=0, max_value=2 ** 31))
 @settings(max_examples=15, deadline=None)
-def test_sliding_window_program_parity(n, m, seed):
-    source = """
+def test_reduction_program_parity(n, seed):
+    # The charge depends on the shape only, so any inputs of shape n
+    # meet the pin.
+    check_program(f"reduction/n={n}", reduction_program(n, seed))
+
+
+SLIDING_WINDOW = """
 function y = f(x, h)
 N = length(x);
 M = length(h);
@@ -454,6 +532,19 @@ for i = 1:N
 end
 end
 """
+
+
+def sliding_window_program(n: int, m: int, seed: int) -> GeneratedProgram:
     rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal((1, n)), rng.standard_normal((1, m))]
-    check_source(source, [arg((1, n)), arg((1, m))], inputs)
+    return as_program(SLIDING_WINDOW, [arg((1, n)), arg((1, m))],
+                      [rng.standard_normal((1, n)),
+                       rng.standard_normal((1, m))])
+
+
+@given(st.integers(min_value=1, max_value=16),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=15, deadline=None)
+def test_sliding_window_program_parity(n, m, seed):
+    check_program(f"sliding_window/n={n},m={m}",
+                  sliding_window_program(n, m, seed))
