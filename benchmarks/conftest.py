@@ -8,14 +8,13 @@ the layout of the paper's tables, and also written to
 Performance-trajectory tracking: tests measuring executor wall time
 register per-kernel entries through ``record_bench``; at session end
 they are written machine-readably to ``benchmarks/results/BENCH_e1.json``
-(per-kernel wall time for both simulator backends, cycle counts, and
-speedups) so future changes can be checked against the recorded
-trajectory.
+(per-kernel simulator wall time, cycle counts, and speedups) so future
+changes can be checked against the recorded trajectory.
 
 Native-tier trajectory: tests measuring the in-process ``.so`` tier
 register entries through ``record_native_bench``; they are written to
-``benchmarks/results/BENCH_native.json`` (per-kernel wall time for all
-three execution tiers, cold vs warm native cache).
+``benchmarks/results/BENCH_native.json`` (per-kernel wall time for the
+simulator and the native tier, cold vs warm native cache).
 
 Parallel pre-warm: ``pytest benchmarks --jobs N`` compiles every
 (kernel, processor, options) combination the experiments request into
@@ -229,17 +228,12 @@ def _format_table(experiment: str) -> str:
 
 def _write_bench_json() -> None:
     kernels = [_BENCH[name] for name in sorted(_BENCH)]
-    ref = sum(k.get("reference_wall_s", 0.0) for k in kernels)
     comp = sum(k.get("compiled_wall_s", 0.0) for k in kernels)
     payload = {
         "experiment": "E1",
         "python": platform.python_version(),
         "kernels": kernels,
-        "aggregate": {
-            "reference_wall_s": round(ref, 6),
-            "compiled_wall_s": round(comp, 6),
-            "wall_speedup": round(ref / comp, 2) if comp else None,
-        },
+        "aggregate": {"compiled_wall_s": round(comp, 6)},
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")

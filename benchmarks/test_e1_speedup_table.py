@@ -8,12 +8,11 @@ near the top of the range, (c) the recurrence-bound IIR sits at the
 bottom, and (d) both compilers' outputs are numerically correct against
 the golden MATLAB interpreter.
 
-Cycle measurements run on the compiled-closure backend (the default);
-``test_e1_backend_wallclock`` is the guardrail that the backend is both
-faithful (bit-identical outputs and cycle reports versus the
-tree-walking reference executor) and fast (aggregate wall-clock
-speedup >= 3x), and feeds the machine-readable trajectory in
-``benchmarks/results/BENCH_e1.json``.
+Cycle measurements run on the compiled-closure simulator;
+``test_e1_backend_wallclock`` times one warm run per kernel (outputs
+checked against the golden model) and feeds the machine-readable
+trajectory in ``benchmarks/results/BENCH_e1.json``, whose
+``compiled_wall_s`` fields CI gates against the committed file.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ KERNELS = [w.name for w in default_workloads()]
 
 HEADERS = ["kernel", "description", "baseline_cycles", "optimized_cycles",
            "speedup"]
-
-#: Wall-clock floor for the compiled backend over the tree-walker,
-#: summed across all six kernels (the ISSUE acceptance criterion).
-MIN_AGGREGATE_WALL_SPEEDUP = 3.0
 
 
 def _compile_pair(workload):
@@ -86,59 +81,36 @@ def test_e1_speedup(kernel, benchmark, record_row, record_bench):
 
 
 def test_e1_backend_wallclock(benchmark, record_row, record_bench):
-    """Compiled backend: identical results, >= 3x aggregate wall clock."""
+    """Warm simulator wall clock per kernel, outputs against golden."""
 
     def measure():
-        total_ref = total_comp = 0.0
+        total = 0.0
         for workload in default_workloads():
             optimized, _ = _compile_pair(workload)
             inputs = workload.inputs(seed=11)
-
-            t0 = time.perf_counter()
-            ref = optimized.simulate(list(inputs), backend="reference")
-            ref_wall = time.perf_counter() - t0
+            golden = workload.golden(inputs)
 
             optimized.compiled_program()    # translate outside the timer
             t0 = time.perf_counter()
-            comp = optimized.simulate(list(inputs), backend="compiled")
-            comp_wall = time.perf_counter() - t0
+            run = optimized.simulate(list(inputs))
+            wall = time.perf_counter() - t0
 
-            for a, b in zip(ref.outputs, comp.outputs):
-                assert np.array_equal(np.asarray(a), np.asarray(b)), \
-                    f"{workload.name}: compiled backend output mismatch"
-            assert ref.report.total == comp.report.total
-            assert ref.report.by_category == comp.report.by_category
-            assert ref.report.instruction_counts == \
-                comp.report.instruction_counts
-
-            total_ref += ref_wall
-            total_comp += comp_wall
-            record_bench(workload.name,
-                         reference_wall_s=round(ref_wall, 6),
-                         compiled_wall_s=round(comp_wall, 6),
-                         wall_speedup=round(ref_wall / comp_wall, 2))
-            record_row("E1c simulator backend wall clock",
-                       ["kernel", "reference_ms", "compiled_ms", "speedup"],
+            assert np.allclose(np.asarray(run.outputs[0]), golden,
+                               atol=workload.tolerance,
+                               rtol=workload.tolerance), \
+                f"{workload.name}: numerical mismatch vs golden model"
+            total += wall
+            record_bench(workload.name, compiled_wall_s=round(wall, 6))
+            record_row("E1c simulator wall clock", ["kernel", "compiled_ms"],
                        kernel=workload.name,
-                       reference_ms=f"{ref_wall * 1e3:.2f}",
-                       compiled_ms=f"{comp_wall * 1e3:.2f}",
-                       speedup=f"{ref_wall / comp_wall:.2f}x")
-        return total_ref, total_comp
+                       compiled_ms=f"{wall * 1e3:.2f}")
+        return total
 
     # pedantic keeps this test in the --benchmark-only selection while
-    # the inner perf_counter timers do the actual per-backend split.
-    total_ref, total_comp = benchmark.pedantic(measure, rounds=1,
-                                               iterations=1)
-    aggregate = total_ref / total_comp
-    record_row("E1c simulator backend wall clock",
-               ["kernel", "reference_ms", "compiled_ms", "speedup"],
-               kernel="TOTAL",
-               reference_ms=f"{total_ref * 1e3:.2f}",
-               compiled_ms=f"{total_comp * 1e3:.2f}",
-               speedup=f"{aggregate:.2f}x")
-    assert aggregate >= MIN_AGGREGATE_WALL_SPEEDUP, \
-        f"compiled backend only {aggregate:.2f}x over the reference " \
-        f"executor (need >= {MIN_AGGREGATE_WALL_SPEEDUP}x)"
+    # the inner perf_counter timer measures the warm run alone.
+    total = benchmark.pedantic(measure, rounds=1, iterations=1)
+    record_row("E1c simulator wall clock", ["kernel", "compiled_ms"],
+               kernel="TOTAL", compiled_ms=f"{total * 1e3:.2f}")
 
 
 def test_e1_band_shape(benchmark, record_row):

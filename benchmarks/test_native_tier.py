@@ -1,8 +1,8 @@
-"""Native execution tier — wall clock across all three tiers.
+"""Native execution tier — wall clock against the simulator.
 
-For every E1 kernel, measures one simulation on the tree-walking
-reference executor, the compiled-closure backend, and the native ``.so``
-tier (cold — including the gcc build — and warm — the in-process ctypes
+For every E1 kernel, measures one simulation on the compiled-closure
+simulator and one run of the native ``.so`` tier (cold — including the
+gcc build — and warm — the in-process ctypes
 dispatch after the artifact is cached), checks the native outputs
 against the golden MATLAB interpreter, and records the per-kernel
 trajectory into ``benchmarks/results/BENCH_native.json``.
@@ -41,13 +41,13 @@ MIN_FAST_SPEEDUP = 5.0
 #: perf_counter granularity does not dominate.
 WARM_CALLS = 20
 
-HEADERS = ["kernel", "reference_ms", "compiled_ms", "native_cold_ms",
-           "native_warm_ms", "native_vs_compiled"]
+HEADERS = ["kernel", "compiled_ms", "native_cold_ms", "native_warm_ms",
+           "native_vs_compiled"]
 
 
 def test_native_tier_wallclock(benchmark, record_row, record_native_bench,
                                tmp_path):
-    """Three-tier wall clock, cold vs warm native cache, per kernel."""
+    """Simulator vs native wall clock, cold vs warm cache, per kernel."""
 
     def measure():
         speedups = {}
@@ -58,10 +58,6 @@ def test_native_tier_wallclock(benchmark, record_row, record_native_bench,
                                     processor=PROCESSOR)
             inputs = workload.inputs(seed=11)
             golden = workload.golden(inputs)
-
-            t0 = time.perf_counter()
-            ref = result.simulate(list(inputs), backend="reference")
-            ref_wall = time.perf_counter() - t0
 
             result.compiled_program()      # translate outside the timer
             t0 = time.perf_counter()
@@ -84,8 +80,7 @@ def test_native_tier_wallclock(benchmark, record_row, record_native_bench,
                 native = program.run(list(inputs))
             warm_wall = (time.perf_counter() - t0) / WARM_CALLS
 
-            for label, run in (("reference", ref), ("compiled", comp),
-                               ("native", native)):
+            for label, run in (("compiled", comp), ("native", native)):
                 produced = np.asarray(run.outputs[0])
                 assert np.allclose(produced, golden,
                                    atol=workload.tolerance,
@@ -94,16 +89,14 @@ def test_native_tier_wallclock(benchmark, record_row, record_native_bench,
 
             speedup = comp_wall / warm_wall
             speedups[workload.name] = speedup
-            record_row("N1 native tier wall clock (three execution tiers)",
+            record_row("N1 native tier wall clock (simulator vs native)",
                        HEADERS,
                        kernel=workload.name,
-                       reference_ms=f"{ref_wall * 1e3:.2f}",
                        compiled_ms=f"{comp_wall * 1e3:.2f}",
                        native_cold_ms=f"{cold_wall * 1e3:.2f}",
                        native_warm_ms=f"{warm_wall * 1e3:.4f}",
                        native_vs_compiled=f"{speedup:.0f}x")
             record_native_bench(workload.name,
-                                reference_wall_s=round(ref_wall, 6),
                                 compiled_wall_s=round(comp_wall, 6),
                                 native_cold_wall_s=round(cold_wall, 6),
                                 native_warm_wall_s=round(warm_wall, 9),

@@ -92,16 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed for --simulate inputs")
     parser.add_argument("--backend",
-                        choices=["compiled", "reference", "native", "all"],
+                        choices=["compiled", "native", "all"],
                         default="compiled",
                         help="execution backend for --simulate: 'compiled' "
-                             "(default; one-time translation, fast), "
-                             "'reference' (tree-walking interpreter), "
+                             "(default; the cycle simulator), "
                              "'native' (emitted C built once into a "
                              "cached .so and called in-process; "
                              "host-hardware speed, no cycle accounting; "
                              "requires a host C compiler), or 'all' "
-                             "(run every tier in one invocation and "
+                             "(run both tiers in one invocation and "
                              "compare wall times; native is skipped "
                              "when no host C compiler is available)")
     parser.add_argument("--no-cache", action="store_true",
@@ -205,11 +204,10 @@ def _run(options, parser) -> int:
         parser.error("--backend all requires --simulate")
     if options.backend in ("native", "all") and options.hotspots:
         parser.error("--hotspots needs cycle accounting on a single "
-                     "backend (use --backend compiled or reference)")
+                     "backend (use --backend compiled)")
     if options.backend in ("native", "all") and options.compare_baseline:
         parser.error("--compare-baseline reports cycle speedups on a "
-                     "single backend (use --backend compiled or "
-                     "reference)")
+                     "single backend (use --backend compiled)")
 
     try:
         with open(options.source) as handle:
@@ -387,9 +385,9 @@ def _simulate(result, source: str, specs, options):
 
 
 def _simulate_all(result, inputs, options):
-    """``--backend all``: run every execution tier on the same inputs
+    """``--backend all``: run both execution tiers on the same inputs
     and compare wall times; the cycle report comes from the compiled
-    run (the reference and native tiers agree on values, not cycles).
+    run (the native tier agrees on values, not cycles).
 
     Returns ``(exit_status, ExecutionResult | None)`` like
     :func:`_simulate`; the returned run is the compiled-tier one.
@@ -401,17 +399,14 @@ def _simulate_all(result, inputs, options):
 
     print(f"entry: {result.entry_name} on {result.processor.name} "
           f"(seed {options.seed}, all backends)")
-    # Cross-check tolerances mirror the fuzz oracle's table
-    # (repro.fuzz.oracle._TOLERANCE): the reference tier differs from
-    # the compiled one only by float64-vs-per-op-float32 evaluation
-    # order, while the native tier additionally runs through the host
-    # libm, whose single-precision results drift further from numpy's.
+    # The cross-check tolerance is the fuzz oracle's gcc one
+    # (repro.fuzz.oracle._TOLERANCE): the native tier runs through the
+    # host libm, whose single-precision results drift from numpy's.
     single = any(np.asarray(v).dtype in (np.float32, np.complex64)
                  for v in inputs)
-    rtols = {"reference": 2e-4 if single else 1e-9,
-             "native": 2e-4 if single else 1e-7}
+    rtol = 2e-4 if single else 1e-7
     first_run = None
-    for backend in ("compiled", "reference", "native"):
+    for backend in ("compiled", "native"):
         if backend == "native" and shutil.which("gcc") is None:
             print(f"  {backend:<10} skipped (no host C compiler)")
             continue
@@ -428,7 +423,6 @@ def _simulate_all(result, inputs, options):
         if first_run is None:
             first_run = run
         else:
-            rtol = rtols[backend]
             for mine, theirs in zip(first_run.outputs, run.outputs):
                 if not np.allclose(np.asarray(mine), np.asarray(theirs),
                                    rtol=rtol, atol=rtol):

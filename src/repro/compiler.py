@@ -79,8 +79,8 @@ class CompilerOptions:
 
 
 #: Execution backends accepted by :meth:`CompilationResult.simulate`:
-#: the two cycle-accounting simulators plus the native ``.so`` tier.
-SIM_BACKENDS = ("compiled", "reference", "native")
+#: the cycle-accounting simulator and the native ``.so`` tier.
+SIM_BACKENDS = ("compiled", "native")
 
 #: Lazily-built per-result runtime state that must never be pickled
 #: (the compiled program holds exec'd code objects, the native program
@@ -176,19 +176,16 @@ class CompilationResult:
         Args:
             args: runtime argument values matching the compiled
                 signature.
-            backend: ``"compiled"`` (default; one-time translation to
-                Python closures, reused across runs), ``"reference"``
-                (the tree-walking interpreter), or ``"native"`` (the
-                emitted C compiled once to a shared object and called
-                in-process — host-hardware speed, but no cycle
-                accounting: the returned report is empty).  The two
-                simulator backends produce identical outputs and
-                identical cycle reports; the native tier produces
-                value-identical outputs up to host-libm/printf
-                differences (the fuzz oracle's gcc tolerances).
+            backend: ``"compiled"`` (default; the cycle simulator, a
+                one-time translation to Python closures reused across
+                runs) or ``"native"`` (the emitted C compiled once to a
+                shared object and called in-process — host-hardware
+                speed, but no cycle accounting: the returned report is
+                empty).  The native tier produces the simulator's
+                outputs up to host-libm/printf differences (the fuzz
+                oracle's gcc tolerances).
             hotspots: also record per-source-line cycle attribution
-                (``ExecutionResult.line_cycles`` / ``hotspots()``).
-                Both simulator backends attribute identically; the
+                (``ExecutionResult.line_cycles`` / ``hotspots()``); the
                 native tier does not support profiling.
         """
         if backend not in SIM_BACKENDS:
@@ -198,7 +195,7 @@ class CompilationResult:
         if backend == "native" and hotspots:
             raise ValueError(
                 "the native backend performs no cycle accounting; "
-                "use backend='compiled' or 'reference' for hotspots")
+                "use backend='compiled' for hotspots")
         session = obs_trace.current()
         if not session.enabled:
             return self._execute(args, backend, hotspots)
@@ -216,23 +213,18 @@ class CompilationResult:
 
     def _execute(self, args: list[object], backend: str, hotspots: bool):
         """One run on ``backend`` (validated by :meth:`simulate`)."""
-        if backend == "compiled":
-            return self.compiled_program(profile_lines=hotspots).run(args)
         if backend == "native":
             return self.native_program().run(args)
-        from repro.sim.machine import Simulator
-        return Simulator(self.module, self.processor,
-                         profile_lines=hotspots).run(args)
+        return self.compiled_program(profile_lines=hotspots).run(args)
 
     def ir_dump(self) -> str:
         from repro.ir.printer import format_module
         return format_module(self.module)
 
-    def instruction_mix(self, args: list[object],
-                        backend: str = "compiled") -> dict[str, int]:
+    def instruction_mix(self, args: list[object]) -> dict[str, int]:
         """Custom-instruction counts for one input set (one
         :meth:`simulate` run)."""
-        return self.simulate(args, backend=backend).report.instruction_counts
+        return self.simulate(args).report.instruction_counts
 
     def __getstate__(self):
         state = dict(self.__dict__)

@@ -1,11 +1,10 @@
 """Differential fuzzing subsystem.
 
-Randomized differential testing of the four execution paths the repo
+Randomized differential testing of the three execution paths the repo
 maintains for every MATLAB program:
 
 * the golden :class:`~repro.mlab.interp.MatlabInterpreter`,
-* the tree-walking reference simulator,
-* the compiled-closure simulator backend,
+* the compiled-closure cycle simulator,
 * the gcc-compiled-and-executed emitted C (when gcc is on PATH).
 
 :mod:`repro.fuzz.generator` emits seeded, well-typed random programs

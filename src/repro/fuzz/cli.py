@@ -2,8 +2,8 @@
 
 Examples::
 
-    # 200 compile-mode programs through interpreter + both simulator
-    # backends + gcc (when on PATH); nonzero exit on any divergence
+    # 200 compile-mode programs through interpreter + the cycle
+    # simulator + gcc (when on PATH); nonzero exit on any divergence
     repro-fuzz --seed 0 --count 200
 
     # Interpreter-only features (growth, logical indexing, matrix
@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-fuzz",
         description="Differential fuzzer: random well-typed MATLAB "
-                    "programs through the golden interpreter, both "
-                    "simulator backends, and gcc-compiled emitted C")
+                    "programs through the golden interpreter, the "
+                    "cycle simulator, and gcc-compiled emitted C")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed; program i uses seed+i "
                              "(default 0)")

@@ -20,7 +20,7 @@ Two modes:
 
 Floating-point discipline: branch conditions, loop bounds, and switch
 subjects are built only from *exact* expressions — values guaranteed
-bit-identical across numpy, the two simulator backends, and compiled C
+bit-identical across numpy, the cycle simulator, and compiled C
 (no reductions with engine-specific summation order, no libm calls, no
 mixed single/double arithmetic).  Everything else may differ by ulps
 between engines and is judged by the oracle's tolerance instead.

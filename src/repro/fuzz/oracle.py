@@ -4,8 +4,7 @@ Runs one MATLAB program through every available execution path and
 compares the outputs:
 
 * ``interp`` — the golden numpy-backed :class:`MatlabInterpreter`;
-* ``reference`` — the tree-walking IR simulator;
-* ``compiled`` — the compiled-closure simulator backend;
+* ``compiled`` — the cycle simulator (compiled-closure backend);
 * ``gcc`` — the emitted ANSI C compiled by a host C compiler and
   executed (only when a compiler is on PATH).  Two harnesses: the
   default ``"native"`` builds one ``.so`` per program behind the
@@ -21,10 +20,8 @@ against it.  Comparison is NaN-aware (NaN positions must match
 exactly; comparison happens on the non-NaN remainder, where matching
 infinities pass) and dtype-aware (single-precision programs and the
 printf-roundtripped gcc path get looser tolerances than pure-double
-simulator runs).  The two simulators must also agree with each other
-exactly on the cycle report (``total``, ``by_category``,
-``instruction_counts``); a mismatch is a divergence of engine
-``cycles``.
+simulator runs).  Cycle reports are not judged here: they are pinned
+exactly in ``tests/cycle_pins.json``.
 
 ``interp``-mode programs (growth-by-assignment, logical indexing,
 matrix column iteration...) never reach the compiler; for those the
@@ -55,13 +52,12 @@ from repro.frontend.unparse import to_source
 from repro.fuzz.generator import GeneratedProgram
 from repro.mlab.interp import MatlabInterpreter
 from repro.observe import trace as obs_trace
-from repro.sim.cost import CycleReport
 
 #: Engines compared against the interpreter in compile mode.
-COMPILE_ENGINES = ("reference", "compiled", "gcc")
+COMPILE_ENGINES = ("compiled", "gcc")
 
 #: Relative tolerance per (dtype, engine-path) combination.  The
-#: simulator backends compute in float64 except where the program is
+#: simulator computes in float64 except where the program is
 #: declared single (then per-op float32 rounding applies); the gcc path
 #: additionally round-trips values through printf/strtod and libm
 #: implementations differ between the host and numpy.
@@ -158,23 +154,6 @@ def compare_outputs(golden: list[object], candidate: list[object],
             worst = float(diff.max()) if diff.size else 0.0
             return (f"output {index}: max abs error {worst:.3e} "
                     f"exceeds rtol {rtol:.0e}")
-    return None
-
-
-def compare_reports(reference: "CycleReport | None",
-                    compiled: "CycleReport | None") -> "str | None":
-    """Difference between the two simulators' cycle reports, if any.
-
-    Both execute the same IR against the same cost model, so their
-    reports must be equal field for field; None when either is absent."""
-    if reference is None or compiled is None:
-        return None
-    for name in ("total", "by_category", "instruction_counts"):
-        expected = getattr(reference, name)
-        actual = getattr(compiled, name)
-        if expected != actual:
-            return (f"cycle report {name}: reference {expected!r}, "
-                    f"compiled {actual!r}")
     return None
 
 
@@ -358,12 +337,10 @@ class DifferentialOracle:
                             time.perf_counter() - t0)
         dtype = _program_dtype(program)
         ran: list[str] = ["interp"]
-        reports = {}
         for engine in self.engines:
             t0 = time.perf_counter()
             try:
-                outputs, reports[engine] = self._run_engine(
-                    result, engine, list(inputs))
+                outputs = self._run_engine(result, engine, list(inputs))
             except Exception as exc:
                 return Verdict(status="crash", engine=engine,
                                detail=f"{type(exc).__name__}: {exc}",
@@ -379,12 +356,6 @@ class DifferentialOracle:
                 return Verdict(status="divergence", engine=engine,
                                detail=mismatch, engines_run=tuple(ran),
                                golden=golden)
-        mismatch = compare_reports(reports.get("reference"),
-                                   reports.get("compiled"))
-        if mismatch is not None:
-            return Verdict(status="divergence", engine="cycles",
-                           detail=mismatch, engines_run=tuple(ran),
-                           golden=golden)
         return Verdict(status="ok", engines_run=tuple(ran),
                        golden=golden)
 
@@ -419,16 +390,15 @@ class DifferentialOracle:
         return self._judge_point(result, program, program.inputs(),
                                  golden=golden)
 
-    def _run_engine(self, result, engine: str, inputs: "list[object]"):
-        """(outputs, cycle report); the gcc engine has no report."""
+    def _run_engine(self, result, engine: str,
+                    inputs: "list[object]") -> "list[object]":
+        """The outputs of one engine's run."""
         if engine == "gcc":
             if self.harness == "exec":
                 from repro.backend.harness import run_via_gcc
-                return run_via_gcc(result, inputs, cc=self.cc), None
-            return (result.native_program(cc=self.cc).run(inputs).outputs,
-                    None)
-        run = result.simulate(inputs, backend=engine)
-        return run.outputs, run.report
+                return run_via_gcc(result, inputs, cc=self.cc)
+            return result.native_program(cc=self.cc).run(inputs).outputs
+        return result.simulate(inputs, backend=engine).outputs
 
     # -- interpreter-only mode ------------------------------------------
 

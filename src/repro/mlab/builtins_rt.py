@@ -140,7 +140,7 @@ def _divide(a, b):
 def _power(a, b):
     # Negative base with fractional exponent goes complex in MATLAB.
     # Overflow-to-HUGE_VAL is intentional (matches c_pow in the C
-    # runtime and both simulator backends), so "over" is suppressed
+    # runtime and the cycle simulator), so "over" is suppressed
     # alongside the usual divide/invalid edge cases.
     if not np.iscomplexobj(a) and not np.iscomplexobj(b):
         base = np.asarray(a, dtype=np.float64)

@@ -6,10 +6,10 @@ cache, so identical (source, compiler, flags) hit disk instead of gcc)
 and the entry point is called in-process through a stable C ABI wrapper
 with zero-copy numpy views.  Surfaced as
 ``CompilationResult.simulate(backend="native")`` next to the
-tree-walking and compiled-closure simulator backends, and as the fuzz
-oracle's default gcc harness.
+compiled-closure cycle simulator, and as the fuzz oracle's default gcc
+harness.
 
-Unlike the two simulator backends, the native tier performs no cycle
+Unlike the simulator, the native tier performs no cycle
 accounting — it exists to run the kernel at host-hardware speed; its
 :class:`~repro.sim.machine.ExecutionResult` carries an empty
 :class:`~repro.sim.cost.CycleReport`.

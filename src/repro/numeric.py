@@ -9,8 +9,8 @@ changes every downstream shape and is exactly the kind of divergence
 the differential fuzzer exists to catch.  The rule therefore lives
 here, in one place, below both layers.
 
-:func:`c_pow` is here for the same reason: both simulator backends
-model the *C* ``pow``, whose edge cases (overflow to ``HUGE_VAL``,
+:func:`c_pow` is here for the same reason: the cycle simulator
+models the *C* ``pow``, whose edge cases (overflow to ``HUGE_VAL``,
 ``pow(0, -1)``) Python's ``**`` turns into exceptions instead.
 """
 

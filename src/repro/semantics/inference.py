@@ -32,7 +32,37 @@ from repro.semantics.shapes import SCALAR, Shape
 from repro.semantics.symbols import Environment, FunctionRegistry
 from repro.semantics.types import DType, MType, promote_binary
 
-_MAX_LOOP_ITERATIONS = 16
+#: Strict rises one name's type can make while a loop's environment
+#: climbs to its fixpoint: first being assigned, then its MType joins
+#: (the dtype chain char < logical < double < single < int8 < int16 <
+#: int32 rises six times; is_complex, the constant value, rows and cols
+#: once each).
+_TYPE_LATTICE_HEIGHT = 1 + 6 + 1 + 1 + 2
+
+
+def _rounds(loop: ast.Stmt):
+    """The inference rounds ``loop`` may take.  Most loops stabilize
+    within three, so the bound is only worked out past those."""
+    yield from range(3)
+    yield from range(3, _round_limit(loop))
+
+
+def _round_limit(loop: ast.Stmt) -> int:
+    """Most inference rounds ``loop`` can need: every round but the
+    last raises the type of at least one name the loop assigns."""
+    assigned = set()
+    for node in ast.walk(loop):
+        if isinstance(node, ast.For):
+            assigned.add(node.var)
+        elif isinstance(node, (ast.Assign, ast.MultiAssign)):
+            targets = node.targets if isinstance(node, ast.MultiAssign) \
+                else [node.target]
+            for target in targets:
+                while isinstance(target, ast.CallIndex):
+                    target = target.target
+                if isinstance(target, ast.Identifier):
+                    assigned.add(target.name)
+    return _TYPE_LATTICE_HEIGHT * len(assigned) + 1
 
 
 @dataclass
@@ -394,7 +424,7 @@ class _FunctionAnalyzer:
     def _stmt_For(self, stmt: ast.For, env: Environment) -> Environment:
         iterable_t = self.infer_expr(stmt.iterable, env)
         loop_var_t = self._loop_var_type(iterable_t)
-        for _ in range(_MAX_LOOP_ITERATIONS):
+        for _ in _rounds(stmt):
             body_env = env.copy()
             body_env.define(stmt.var, loop_var_t, stmt.span, is_loop_var=True)
             body_env = self.infer_body(stmt.body, body_env)
@@ -404,9 +434,8 @@ class _FunctionAnalyzer:
                 # node types it recorded are the fixpoint's.
                 return merged
             env = merged
-        self.error(
-            f"types in loop over {stmt.var!r} did not stabilize "
-            f"(array growing inside the loop?)", stmt.span)
+        self.error(f"types in loop over {stmt.var!r} did not stabilize",
+                   stmt.span)
 
     def _loop_var_type(self, iterable_t: MType) -> MType:
         if iterable_t.shape.is_row or iterable_t.is_scalar:
@@ -417,7 +446,7 @@ class _FunctionAnalyzer:
                      Shape(iterable_t.shape.rows, 1))
 
     def _stmt_While(self, stmt: ast.While, env: Environment) -> Environment:
-        for _ in range(_MAX_LOOP_ITERATIONS):
+        for _ in _rounds(stmt):
             self.infer_expr(stmt.condition, env)
             body_env = self.infer_body(stmt.body, env.copy())
             merged = _merge_union(env, body_env)

@@ -1,23 +1,19 @@
-"""Cycle-accurate IR executors for ASIP cost models.
+"""Cycle-accurate IR execution against ASIP cost models.
 
-Two backends share identical semantics and cycle accounting:
-
-* :class:`~repro.sim.machine.Simulator` — the tree-walking reference
-  executor (slow, simple, the ground truth for differential testing);
-* :class:`~repro.sim.compiled.CompiledSimulator` — a one-time
-  translation of the IR into Python functions, typically several times
-  faster on benchmark workloads.
+:class:`~repro.sim.compiled.CompiledProgram` translates an IR module
+once into Python functions that charge every operation's cycle cost
+against a :class:`~repro.sim.cost.CostModel`, and reuses them for every
+run.  :mod:`repro.sim.machine` holds the runtime helpers and the
+:class:`~repro.sim.machine.ExecutionResult` a run returns.
 """
 
-from repro.sim.compiled import CompiledProgram, CompiledSimulator
+from repro.sim.compiled import CompiledProgram
 from repro.sim.cost import CostModel, CycleReport
-from repro.sim.machine import ExecutionResult, Simulator
+from repro.sim.machine import ExecutionResult
 
 __all__ = [
     "CompiledProgram",
-    "CompiledSimulator",
     "CostModel",
     "CycleReport",
     "ExecutionResult",
-    "Simulator",
 ]

@@ -1,25 +1,41 @@
-"""Compiled-closure execution backend for the ASIP simulator.
+"""Compiled-closure executor: the ASIP cycle simulator.
 
-The tree-walking :class:`~repro.sim.machine.Simulator` dispatches on
-``isinstance`` for every IR node on every iteration, so benchmark wall
-time is dominated by Python interpretation overhead rather than by the
-cycle accounting the experiments actually measure.  This module pays
-the IR walk once: each :class:`~repro.ir.nodes.IRFunction` is translated
-into one real Python function (``ForRange`` becomes a ``range`` loop,
-expressions become inline Python expressions, custom instructions become
-pre-resolved operations), compiled with ``exec`` against a namespace of
-pre-bound helper closures, and reused for every subsequent run.
+Each :class:`~repro.ir.nodes.IRFunction` is translated once into one
+real Python function (``ForRange`` becomes a ``range`` loop,
+expressions become inline Python expressions, custom instructions
+become pre-resolved operations), compiled with ``exec`` against a
+namespace of pre-bound helper closures, and reused for every
+subsequent run.
+
+Cost semantics (every cost comes from the processor's
+:class:`~repro.sim.cost.CostModel`):
+
+* ``move``: an ``AssignVar``, a ``VecSplat``, and two per
+  ``MakeComplex``;
+* ``mem``: a scalar load or store, and per element of a ``CopyArray``;
+* ``alu``: a scalar unary or binary operation (charged once for a
+  short-circuiting ``land`` / ``lor``) and a cast; vector operations
+  charge only through their custom instruction;
+* ``math``: a ``MathCall``;
+* ``branch``: an ``If``, every ``for`` iteration, and every ``while``
+  condition check including the final failing one;
+* ``call``: a user-function call;
+* ``intrinsic``: a custom instruction (an ``IntrinsicCall``, or a
+  ``VecLoad`` / ``VecStore`` that carries one), which also bumps its
+  ``instruction_counts`` entry.
+
+A line-profiled run attributes each charge to the source line of the
+statement that incurs it; loop control belongs to the loop's own line.
+``tests/cycle_pins.json`` pins the resulting reports.
 
 Cycle accounting is batched per basic block: during translation the
 static portion of every straight-line statement group (costs that are
 charged unconditionally whenever the group executes) is folded into a
 handful of counter increments emitted once at the head of the group,
-instead of a ``CycleReport.charge`` call per node visit.  Conditionally
-evaluated work — the right-hand side of a short-circuiting ``land`` /
-``lor``, ``If`` branches, ``while`` bodies — keeps its own flush so the
-produced :class:`~repro.sim.cost.CycleReport` is *identical* to the
-tree-walker's (same totals, same per-category breakdown, same custom
-instruction counts), which the differential test suite enforces.
+instead of one charge per node visit.  Conditionally evaluated work
+(the right-hand side of a short-circuiting ``land`` / ``lor``, ``If``
+branches, ``while`` bodies) keeps its own flush, so a category or
+instruction that never executes leaves no key in the report.
 
 Loops are charged once per loop, not per iteration.  A ``ForRange``
 whose body holds no statement that can cut an iteration short (a
@@ -45,19 +61,10 @@ real kind are inline ``int()`` / ``float()`` / ``bool()`` conversions,
 preceded by ``.real`` only when the operand may hold a complex
 (``c_pow`` of a negative base returns one even in a real-typed slot).
 
-Behavioural differences versus the reference executor (both only
-observable on invalid IR or runaway programs):
-
-* the ``max_steps`` guard counts ``while``-condition checks only (the
-  generated ``for`` loops, which always terminate, never touch it)
-  rather than every statement, so the limit triggers at a different
-  step count;
-* error messages for malformed IR (unknown arrays, unassigned reads)
-  are normalized through a single :class:`SimulationError` wrapper.
-
-The tree-walker stays as the reference executor for differential
-testing; ``CompiledSimulator`` is a drop-in replacement with the same
-constructor and ``run`` signature.
+The ``max_steps`` guard counts ``while``-condition checks only (the
+generated ``for`` loops always terminate).  Errors from malformed IR
+(unknown arrays, unassigned reads) surface as
+:class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -83,15 +90,14 @@ from repro.sim.machine import (
     numpy_dtype,
 )
 
-#: Fixed counter slots for batched accounting (mirrors the category
-#: strings the tree-walker passes to CycleReport.charge).
+#: Fixed counter slots for batched accounting, one per
+#: ``CycleReport.by_category`` key.
 _CATEGORIES = ("move", "mem", "branch", "alu", "math", "call", "intrinsic")
 _MOVE, _MEM, _BRANCH, _ALU, _MATH, _CALL, _INTR = range(len(_CATEGORIES))
 
 
 # ----------------------------------------------------------------------
 # Runtime helpers bound into every generated function's namespace.
-# Each mirrors one branch of the tree-walker exactly.
 # ----------------------------------------------------------------------
 
 
@@ -363,7 +369,7 @@ class _FuncCodegen:
         self._uid = 0
         #: Source line of the statement currently being translated;
         #: charge closures capture it so conditionally-evaluated work
-        #: attributes to the same line the tree-walker charges.
+        #: attributes to the line of the statement that evaluates it.
         self._cur_line = 0
         # Scalars written by Call statements must live in the S dict so
         # the callee-invocation helper can update them; everything else
@@ -490,8 +496,8 @@ class _FuncCodegen:
 
         A real-typed slot can still hold a complex at run time (``c_pow``
         of a negative base and a fractional exponent returns one), and
-        the tree-walker's casts and ``np.full`` splats to a real kind keep
-        its real part; only a provably real operand skips ``.real``."""
+        casts and splats to a real kind keep its real part; only a
+        provably real operand skips ``.real``."""
         if kind.is_complex or self._is_int(expr, intvars):
             return code
         if isinstance(expr, ir.Const):
@@ -926,8 +932,8 @@ class _FuncCodegen:
 
         body_lines, bstatic, bcounts, blc = self.block(s.body, inner)
         _merge(bstatic, {_BRANCH: self.cost.branch()})
-        # Loop-control overhead attributes to the loop's own line,
-        # exactly like the tree-walker's per-iteration branch charge.
+        # Loop-control overhead (one branch per iteration) attributes
+        # to the loop's own line.
         _merge(blc, {s.line: self.cost.branch()})
 
         iterations = f"range({start}, {stop}, {s.step})"
@@ -980,7 +986,7 @@ class _FuncCodegen:
         ccode, cstatic, ccounts = self.expr(s.condition, intvars)
         _merge(cstatic, {_BRANCH: self.cost.branch()})
         # Condition check (including the final failing one) belongs to
-        # the while statement's line, as in the tree-walker.
+        # the while statement's line.
         check_flush = self.flush_lines(
             cstatic, ccounts, {s.line: sum(cstatic.values())})
 
@@ -1287,24 +1293,3 @@ class CompiledProgram:
         """Generated Python of one function (debugging aid)."""
         cf = self.compiled[name or self.module.entry]
         return cf.source
-
-
-class CompiledSimulator:
-    """Drop-in replacement for :class:`~repro.sim.machine.Simulator`.
-
-    Translation happens once in the constructor; every ``run`` reuses
-    the compiled program, which is what makes repeated simulation of
-    the same module (benchmark loops, instruction-mix queries) fast.
-    """
-
-    def __init__(self, module: ir.IRModule,
-                 processor: ProcessorDescription,
-                 max_steps: int = 200_000_000,
-                 profile_lines: bool = False):
-        self.module = module
-        self.program = CompiledProgram(module, processor, max_steps,
-                                       profile_lines=profile_lines)
-
-    def run(self, args: list[object],
-            entry: str | None = None) -> ExecutionResult:
-        return self.program.run(args, entry)

@@ -17,33 +17,11 @@ from repro.ir.types import ScalarKind, ScalarType
 
 @dataclass
 class CycleReport:
-    """Accumulated cycles, broken down by category."""
+    """One run's cycles, broken down by category."""
 
     total: int = 0
     by_category: dict[str, int] = field(default_factory=dict)
     instruction_counts: dict[str, int] = field(default_factory=dict)
-
-    def charge(self, category: str, cycles: int) -> None:
-        self.total += cycles
-        self.by_category[category] = self.by_category.get(category, 0) + cycles
-
-    def count_instruction(self, name: str) -> None:
-        self.instruction_counts[name] = \
-            self.instruction_counts.get(name, 0) + 1
-
-    def merge(self, other: "CycleReport") -> None:
-        self.total += other.total
-        for key, value in other.by_category.items():
-            self.by_category[key] = self.by_category.get(key, 0) + value
-        for key, value in other.instruction_counts.items():
-            self.instruction_counts[key] = \
-                self.instruction_counts.get(key, 0) + value
-
-    def summary(self) -> str:
-        parts = [f"total={self.total}"]
-        for key in sorted(self.by_category):
-            parts.append(f"{key}={self.by_category[key]}")
-        return " ".join(parts)
 
 
 class CostModel:

@@ -1,26 +1,21 @@
-"""IR executor with cycle accounting — the ASIP stand-in.
+"""Runtime helpers shared by the execution backends.
 
-Executes an :class:`~repro.ir.nodes.IRModule` directly (arrays as flat
-numpy buffers in MATLAB column-major element order, scalars as Python
-numbers) while charging every operation's cycle cost against a
-:class:`~repro.sim.cost.CostModel`.  Running the baseline-lowered and the
-optimized/vectorized module of the same MATLAB source on the same
-processor description reproduces the paper's measurement setup: same
-datapath, different compilers.
+Arrays travel as flat numpy buffers in MATLAB column-major element
+order and scalars as Python numbers.  These helpers convert arguments
+into that form and back, format ``Emit`` output, and hold one run's
+:class:`ExecutionResult`.  The cycle-accounting executor itself is
+:mod:`repro.sim.compiled`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.asip.model import ProcessorDescription
 from repro.errors import SimulationError
-from repro.numeric import c_pow
-from repro.ir import nodes as ir
-from repro.ir.types import ArrayType, ScalarKind, ScalarType, VectorType
-from repro.sim.cost import CostModel, CycleReport
+from repro.ir.types import ArrayType, ScalarKind, ScalarType
+from repro.sim.cost import CycleReport
 
 _NUMPY_DTYPES = {
     ScalarKind.BOOL: np.bool_,
@@ -36,18 +31,6 @@ _NUMPY_DTYPES = {
 
 def numpy_dtype(kind: ScalarKind):
     return _NUMPY_DTYPES[kind]
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-class _ReturnSignal(Exception):
-    pass
 
 
 def as_buffer(value, array_type: ArrayType, name: str) -> np.ndarray:
@@ -116,8 +99,7 @@ class ExecutionResult:
     def hotspots(self) -> list[tuple[int, int]]:
         """(line, cycles) pairs, hottest first.
 
-        Requires a line-profiled run (``hotspots=True``); both
-        simulator backends attribute identically.
+        Requires a line-profiled run (``hotspots=True``).
         """
         if self.line_cycles is None:
             raise ValueError(
@@ -125,549 +107,3 @@ class ExecutionResult:
                 "hotspots=True) to collect one")
         from repro.observe.hotspots import line_table
         return line_table(self.line_cycles)
-
-
-class _LineCycleReport(CycleReport):
-    """CycleReport that also attributes every charge to the source
-    line of the statement currently executing (``self.line``, kept
-    up to date by the simulator's statement dispatch)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.line = 0
-        self.line_cycles: dict[int, int] = {}
-
-    def charge(self, category: str, cycles: int) -> None:
-        super().charge(category, cycles)
-        self.line_cycles[self.line] = \
-            self.line_cycles.get(self.line, 0) + cycles
-
-
-@dataclass
-class _Frame:
-    scalars: dict[str, object] = field(default_factory=dict)
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-class Simulator:
-    """Executes IR functions against a processor cost model."""
-
-    def __init__(self, module: ir.IRModule,
-                 processor: ProcessorDescription,
-                 max_steps: int = 200_000_000,
-                 profile_lines: bool = False):
-        self.module = module
-        self.cost = CostModel(processor)
-        self.profile_lines = profile_lines
-        self.report = _LineCycleReport() if profile_lines \
-            else CycleReport()
-        self.max_steps = max_steps
-        self._steps = 0
-        self._stdout: list[str] = []
-
-    # ------------------------------------------------------------------
-    # Entry
-    # ------------------------------------------------------------------
-
-    def run(self, args: list[object],
-            entry: str | None = None) -> ExecutionResult:
-        """Execute ``entry`` (default: module entry) on ``args``.
-
-        Array arguments may be numpy arrays of any shape; they are
-        flattened in column-major (Fortran) order, matching MATLAB's
-        storage that the IR assumes.
-        """
-        self.report = _LineCycleReport() if self.profile_lines \
-            else CycleReport()
-        self._stdout = []
-        func = self.module.function(entry or self.module.entry)
-        if func is None:
-            raise SimulationError(f"no function {entry or self.module.entry!r}")
-        outputs = self._call_function(func, args)
-        line_cycles = dict(self.report.line_cycles) \
-            if self.profile_lines else None
-        return ExecutionResult(outputs=outputs, report=self.report,
-                               stdout="".join(self._stdout),
-                               line_cycles=line_cycles)
-
-    # ------------------------------------------------------------------
-    # Function invocation
-    # ------------------------------------------------------------------
-
-    def _call_function(self, func: ir.IRFunction,
-                       args: list[object]) -> list[object]:
-        if len(args) != len(func.params):
-            raise SimulationError(
-                f"{func.name}: expected {len(func.params)} arguments, "
-                f"got {len(args)}")
-        frame = _Frame()
-        for param, value in zip(func.params, args):
-            if isinstance(param.type, ArrayType):
-                array = self._as_buffer(value, param.type, param.name)
-                frame.arrays[param.name] = array
-            else:
-                frame.scalars[param.name] = self._coerce_scalar(
-                    value, param.type)
-        for name, ir_type in func.locals.items():
-            if isinstance(ir_type, ArrayType):
-                frame.arrays[name] = np.zeros(
-                    ir_type.numel, dtype=numpy_dtype(ir_type.elem.kind))
-        for out in func.outputs:
-            if isinstance(out.type, ArrayType) and \
-                    out.name not in frame.arrays:
-                frame.arrays[out.name] = np.zeros(
-                    out.type.numel, dtype=numpy_dtype(out.type.elem.kind))
-
-        try:
-            self._exec_body(func.body, frame)
-        except _ReturnSignal:
-            pass
-
-        outputs: list[object] = []
-        for out in func.outputs:
-            if isinstance(out.type, ArrayType):
-                shaped = frame.arrays[out.name].reshape(
-                    (out.type.rows, out.type.cols), order="F")
-                outputs.append(shaped.copy())
-            else:
-                value = frame.scalars.get(out.name)
-                if value is None:
-                    raise SimulationError(
-                        f"{func.name}: output {out.name!r} never assigned")
-                outputs.append(value)
-        return outputs
-
-    def _as_buffer(self, value, array_type: ArrayType,
-                   name: str) -> np.ndarray:
-        return as_buffer(value, array_type, name)
-
-    def _coerce_scalar(self, value, scalar_type: ScalarType):
-        return coerce_scalar(value, scalar_type)
-
-    # ------------------------------------------------------------------
-    # Statements
-    # ------------------------------------------------------------------
-
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > self.max_steps:
-            raise SimulationError("simulation step limit exceeded "
-                                  "(infinite loop in generated code?)")
-
-    def _exec_body(self, body: list[ir.Stmt], frame: _Frame) -> None:
-        for stmt in body:
-            self._exec_stmt(stmt, frame)
-
-    def _exec_stmt(self, stmt: ir.Stmt, frame: _Frame) -> None:
-        self._tick()
-        if self.profile_lines:
-            self.report.line = stmt.line
-        if isinstance(stmt, ir.AssignVar):
-            value = self._eval(stmt.value, frame)
-            self.report.charge("move", self.cost.move())
-            frame.scalars[stmt.name] = value
-        elif isinstance(stmt, ir.Store):
-            index = self._eval(stmt.index, frame)
-            value = self._eval(stmt.value, frame)
-            elem = stmt.value.type if isinstance(stmt.value.type, ScalarType) \
-                else ScalarType(ScalarKind.F64)
-            self.report.charge("mem", self.cost.store(elem))
-            self._store(frame, stmt.array, int(index), value)
-        elif isinstance(stmt, ir.VecStore):
-            base = int(self._eval(stmt.base, frame))
-            value = self._eval(stmt.value, frame)
-            instr = stmt.instruction
-            if instr is not None:
-                self.report.charge("intrinsic",
-                                   self.cost.intrinsic(instr.cycles))
-                self.report.count_instruction(instr.name)
-            array = self._array(frame, stmt.array)
-            lanes = stmt.value.type.lanes
-            self._check_bounds(stmt.array, array, base, lanes)
-            array[base:base + lanes] = value
-        elif isinstance(stmt, ir.IntrinsicStmt):
-            self._eval(stmt.call, frame)
-        elif isinstance(stmt, ir.ForRange):
-            self._exec_for(stmt, frame)
-        elif isinstance(stmt, ir.While):
-            self._exec_while(stmt, frame)
-        elif isinstance(stmt, ir.If):
-            self.report.charge("branch", self.cost.branch())
-            condition = self._eval(stmt.condition, frame)
-            if condition:
-                self._exec_body(stmt.then_body, frame)
-            else:
-                self._exec_body(stmt.else_body, frame)
-        elif isinstance(stmt, ir.Break):
-            raise _Break()
-        elif isinstance(stmt, ir.Continue):
-            raise _Continue()
-        elif isinstance(stmt, ir.Return):
-            raise _ReturnSignal()
-        elif isinstance(stmt, ir.Call):
-            self._exec_call(stmt, frame)
-        elif isinstance(stmt, ir.Emit):
-            values = [self._eval(a, frame) for a in stmt.args]
-            self._stdout.append(self._format_emit(stmt.format, values))
-        elif isinstance(stmt, ir.CopyArray):
-            src = self._array(frame, stmt.src)
-            dst = self._array(frame, stmt.dst)
-            count = min(dst.size, src.size)
-            elem_kind = ScalarKind.C128 if np.iscomplexobj(dst) \
-                else ScalarKind.F64
-            self.report.charge(
-                "mem", count * self.cost.copy_element(ScalarType(elem_kind)))
-            dst[:count] = src[:count]
-        else:
-            raise SimulationError(
-                f"cannot execute statement {type(stmt).__name__}")
-
-    def _format_emit(self, format_string: str, values: list[object]) -> str:
-        return format_emit(format_string, values)
-
-    def _exec_for(self, stmt: ir.ForRange, frame: _Frame) -> None:
-        start = int(self._eval(stmt.start, frame))
-        stop = int(self._eval(stmt.stop, frame))
-        step = stmt.step
-        value = start
-        while (value < stop) if step > 0 else (value > stop):
-            self._tick()
-            # Loop-control overhead belongs to the loop's own line,
-            # not to whatever body line executed last.
-            if self.profile_lines:
-                self.report.line = stmt.line
-            self.report.charge("branch", self.cost.branch())
-            frame.scalars[stmt.var] = value
-            try:
-                self._exec_body(stmt.body, frame)
-            except _Break:
-                break
-            except _Continue:
-                pass
-            value += step
-        # MATLAB leaves the loop variable holding its last value; the
-        # final assignment above already reflects that.
-
-    def _exec_while(self, stmt: ir.While, frame: _Frame) -> None:
-        while True:
-            self._tick()
-            if self.profile_lines:
-                self.report.line = stmt.line
-            self.report.charge("branch", self.cost.branch())
-            if not self._eval(stmt.condition, frame):
-                break
-            try:
-                self._exec_body(stmt.body, frame)
-            except _Break:
-                break
-            except _Continue:
-                continue
-
-    def _exec_call(self, stmt: ir.Call, frame: _Frame) -> None:
-        callee = self.module.function(stmt.callee)
-        if callee is None:
-            raise SimulationError(f"unknown callee {stmt.callee!r}")
-        self.report.charge("call", self.cost.call())
-        args: list[object] = []
-        for arg in stmt.args:
-            if isinstance(arg, str):
-                args.append(self._array(frame, arg).copy())
-            else:
-                args.append(self._eval(arg, frame))
-        results = self._call_function(callee, args)
-        for name, value in zip(stmt.results, results):
-            if isinstance(value, np.ndarray):
-                dst = self._array(frame, name)
-                dst[:] = value.reshape(-1, order="F")
-            else:
-                frame.scalars[name] = value
-
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-
-    def _array(self, frame: _Frame, name: str) -> np.ndarray:
-        array = frame.arrays.get(name)
-        if array is None:
-            raise SimulationError(f"unknown array {name!r}")
-        return array
-
-    def _check_bounds(self, name: str, array: np.ndarray, index: int,
-                      extent: int = 1) -> None:
-        if index < 0 or index + extent > array.size:
-            raise SimulationError(
-                f"index {index} (extent {extent}) out of bounds for "
-                f"array {name!r} of size {array.size} — generated code "
-                "is invalid")
-
-    def _eval(self, expr: ir.Expr, frame: _Frame):
-        if isinstance(expr, ir.Const):
-            return expr.value
-        if isinstance(expr, ir.VarRef):
-            if expr.name in frame.scalars:
-                return frame.scalars[expr.name]
-            raise SimulationError(f"read of unassigned variable "
-                                  f"{expr.name!r}")
-        if isinstance(expr, ir.Load):
-            index = int(self._eval(expr.index, frame))
-            array = self._array(frame, expr.array)
-            self._check_bounds(expr.array, array, index)
-            elem = expr.type if isinstance(expr.type, ScalarType) \
-                else ScalarType(ScalarKind.F64)
-            self.report.charge("mem", self.cost.load(elem))
-            value = array[index]
-            return self._from_numpy(value)
-        if isinstance(expr, ir.BinOp):
-            return self._eval_binop(expr, frame)
-        if isinstance(expr, ir.UnOp):
-            operand = self._eval(expr.operand, frame)
-            self.report.charge("alu", self.cost.unop(expr.op,
-                                                     self._scalar_type(expr)))
-            if expr.op == "neg":
-                return -operand
-            return not bool(operand)
-        if isinstance(expr, ir.MathCall):
-            return self._eval_math(expr, frame)
-        if isinstance(expr, ir.Cast):
-            value = self._eval(expr.operand, frame)
-            self.report.charge("alu", self.cost.cast())
-            return self._cast_value(value, expr.type)
-        if isinstance(expr, ir.MakeComplex):
-            real = self._eval(expr.real, frame)
-            imag = self._eval(expr.imag, frame)
-            self.report.charge("move", 2 * self.cost.move())
-            return complex(real, imag)
-        if isinstance(expr, ir.VecLoad):
-            base = int(self._eval(expr.base, frame))
-            array = self._array(frame, expr.array)
-            lanes = expr.type.lanes
-            self._check_bounds(expr.array, array, base, lanes)
-            instr = expr.instruction
-            if instr is not None:
-                self.report.charge("intrinsic",
-                                   self.cost.intrinsic(instr.cycles))
-                self.report.count_instruction(instr.name)
-            lanes_data = array[base:base + lanes].copy()
-            return lanes_data[::-1].copy() if expr.reverse else lanes_data
-        if isinstance(expr, ir.VecSplat):
-            value = self._eval(expr.operand, frame)
-            dtype = numpy_dtype(expr.type.elem.kind)
-            self.report.charge("move", self.cost.move())
-            return np.full(expr.type.lanes, value, dtype=dtype)
-        if isinstance(expr, ir.IntrinsicCall):
-            return self._eval_intrinsic(expr, frame)
-        raise SimulationError(f"cannot evaluate {type(expr).__name__}")
-
-    def _scalar_type(self, expr: ir.Expr) -> ScalarType:
-        if isinstance(expr.type, ScalarType):
-            return expr.type
-        return ScalarType(ScalarKind.F64)
-
-    def _from_numpy(self, value):
-        return from_numpy(value)
-
-    def _cast_value(self, value, target: ScalarType):
-        kind = target.kind
-        if kind.is_complex:
-            return complex(value)
-        if isinstance(value, complex):
-            value = value.real
-        if kind is ScalarKind.BOOL:
-            return bool(value)
-        if kind.is_integer:
-            return int(value)  # C cast truncates toward zero, like int()
-        if kind is ScalarKind.F32:
-            return float(np.float32(value))
-        return float(value)
-
-    def _eval_binop(self, expr: ir.BinOp, frame: _Frame):
-        # Logical connectives short-circuit, exactly like the && / ||
-        # the C backend emits (a guarded load in the right operand must
-        # not be evaluated when the left side already decides).
-        if expr.op in ("land", "lor"):
-            self.report.charge("alu", self.cost.binop(
-                expr.op, self._scalar_type(expr.left)))
-            left = bool(self._eval(expr.left, frame))
-            if expr.op == "land" and not left:
-                return False
-            if expr.op == "lor" and left:
-                return True
-            return bool(self._eval(expr.right, frame))
-        left = self._eval(expr.left, frame)
-        right = self._eval(expr.right, frame)
-        is_vector = isinstance(expr.type, VectorType)
-        if not is_vector:
-            operand_t = self._scalar_type(expr.left)
-            self.report.charge("alu", self.cost.binop(expr.op, operand_t))
-        op = expr.op
-        if op == "add":
-            return left + right
-        if op == "sub":
-            return left - right
-        if op == "mul":
-            return left * right
-        if op == "div":
-            if isinstance(expr.type, ScalarType) and \
-                    expr.type.kind.is_integer:
-                return int(left / right) if right != 0 else 0
-            try:
-                return left / right
-            except ZeroDivisionError:
-                return float("inf") if left > 0 else (
-                    float("-inf") if left < 0 else float("nan"))
-        if op == "pow":
-            return c_pow(left, right)
-        if op == "rem":
-            import math
-            return math.fmod(left, right) if right != 0 else float("nan")
-        if op == "min":
-            return min(left, right) if not is_vector else \
-                np.minimum(left, right)
-        if op == "max":
-            return max(left, right) if not is_vector else \
-                np.maximum(left, right)
-        if op == "eq":
-            return left == right
-        if op == "ne":
-            return left != right
-        if op == "lt":
-            return left < right
-        if op == "le":
-            return left <= right
-        if op == "gt":
-            return left > right
-        if op == "ge":
-            return left >= right
-        if op == "land":
-            return bool(left) and bool(right)
-        if op == "lor":
-            return bool(left) or bool(right)
-        raise SimulationError(f"unknown binary op {expr.op!r}")
-
-    def _eval_math(self, expr: ir.MathCall, frame: _Frame):
-        import cmath
-        import math
-        args = [self._eval(a, frame) for a in expr.args]
-        operand_t = self._scalar_type(expr.args[0]) if expr.args else \
-            ScalarType(ScalarKind.F64)
-        self.report.charge("math", self.cost.math(expr.name, operand_t))
-        name = expr.name
-        a = args[0] if args else None
-        is_complex = isinstance(a, complex)
-        if name == "abs":
-            return abs(a)
-        if name == "sqrt":
-            return cmath.sqrt(a) if is_complex else math.sqrt(abs(a)) \
-                if a >= 0 else float("nan")
-        if name == "exp":
-            return cmath.exp(a) if is_complex else math.exp(a)
-        if name == "log":
-            return cmath.log(a) if is_complex else (
-                math.log(a) if a > 0 else float("-inf") if a == 0
-                else float("nan"))
-        if name == "sin":
-            return cmath.sin(a) if is_complex else math.sin(a)
-        if name == "cos":
-            return cmath.cos(a) if is_complex else math.cos(a)
-        if name == "tan":
-            return cmath.tan(a) if is_complex else math.tan(a)
-        if name == "atan":
-            return math.atan(a)
-        if name == "atan2":
-            return math.atan2(a, args[1])
-        if name == "hypot":
-            return math.hypot(a, args[1])
-        if name == "floor":
-            return float(math.floor(a))
-        if name == "ceil":
-            return float(math.ceil(a))
-        if name == "round":
-            # MATLAB rounds halves away from zero.
-            return float(math.floor(a + 0.5)) if a >= 0 else \
-                float(math.ceil(a - 0.5))
-        if name == "fix":
-            return float(math.trunc(a))
-        if name == "sign":
-            return float((a > 0) - (a < 0))
-        if name == "mod":
-            b = args[1]
-            if b == 0:
-                return a
-            return a - math.floor(a / b) * b
-        if name == "rem":
-            b = args[1]
-            return math.fmod(a, b) if b != 0 else float("nan")
-        if name == "pow":
-            return c_pow(a, args[1])
-        if name == "conj":
-            return a.conjugate() if is_complex else a
-        if name == "real":
-            return a.real if is_complex else a
-        if name == "imag":
-            return a.imag if is_complex else 0.0
-        if name == "arg":
-            return cmath.phase(a) if is_complex else math.atan2(0.0, a)
-        raise SimulationError(f"unknown math function {name!r}")
-
-    # ------------------------------------------------------------------
-    # Custom instructions
-    # ------------------------------------------------------------------
-
-    def _eval_intrinsic(self, expr: ir.IntrinsicCall, frame: _Frame):
-        instr = expr.instruction
-        args = [self._eval(a, frame) for a in expr.args]
-        self.report.charge("intrinsic", self.cost.intrinsic(instr.cycles))
-        self.report.count_instruction(instr.name)
-        op = instr.operation
-        if op == "vadd":
-            return args[0] + args[1]
-        if op == "vsub":
-            return args[0] - args[1]
-        if op == "vmul":
-            return args[0] * args[1]
-        if op == "vdiv":
-            return args[0] / args[1]
-        if op == "vmac":
-            return args[0] + args[1] * args[2]
-        if op == "vmin":
-            return np.minimum(args[0], args[1])
-        if op == "vmax":
-            return np.maximum(args[0], args[1])
-        if op == "vabs":
-            return np.abs(args[0])
-        if op == "vneg":
-            return -args[0]
-        if op == "vconj":
-            return np.conj(args[0])
-        if op == "vsplat":
-            dtype = numpy_dtype(expr.type.elem.kind)
-            return np.full(expr.type.lanes, args[0], dtype=dtype)
-        if op == "vredadd":
-            return self._from_numpy(np.sum(args[0]))
-        if op == "vredmin":
-            return self._from_numpy(np.min(args[0]))
-        if op == "vredmax":
-            return self._from_numpy(np.max(args[0]))
-        if op == "cadd":
-            return args[0] + args[1]
-        if op == "csub":
-            return args[0] - args[1]
-        if op == "cmul":
-            return args[0] * args[1]
-        if op == "cmac":
-            return args[0] + args[1] * args[2]
-        if op == "cconj":
-            return args[0].conjugate()
-        if op == "cmag2":
-            value = args[0]
-            return value.real * value.real + value.imag * value.imag
-        if op == "mac":
-            return args[0] + args[1] * args[2]
-        if op == "clip":
-            return min(max(args[0], args[1]), args[2])
-        raise SimulationError(f"unknown intrinsic operation {op!r}")
-
-    def _store(self, frame: _Frame, name: str, index: int, value) -> None:
-        array = self._array(frame, name)
-        self._check_bounds(name, array, index)
-        array[index] = value

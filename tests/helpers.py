@@ -3,6 +3,8 @@
 The central helper, :func:`check_program`, runs one MATLAB program four
 ways — golden interpreter, simulated baseline IR, simulated optimized
 IR, and (optionally) gcc-compiled generated C — and asserts they agree.
+The cycle-report pins of ``tests/cycle_pins.json`` are read through
+:func:`assert_cycles_pinned`.
 Most correctness tests in this suite reduce to a call to it.
 """
 
@@ -21,7 +23,6 @@ from repro.frontend.parser import parse
 from repro.fuzz.generator import GeneratedProgram
 from repro.ir.verifier import verify_module
 from repro.mlab.interp import MatlabInterpreter
-from repro.sim.machine import Simulator
 
 HAVE_GCC = shutil.which("gcc") is not None
 
@@ -65,10 +66,8 @@ def check_program(source: str, args, inputs: list,
     entry_name = entry or optimized.sprog.entry.func.name
     golden = golden_outputs(source, entry_name, inputs, nargout)
 
-    run_opt = Simulator(optimized.module, optimized.processor) \
-        .run(list(inputs))
-    run_base = Simulator(baseline.module, baseline.processor) \
-        .run(list(inputs))
+    run_opt = optimized.simulate(list(inputs))
+    run_base = baseline.simulate(list(inputs))
     for index, expected in enumerate(golden):
         assert_outputs_close(run_opt.outputs[index], expected, tol,
                              f"optimized output #{index}")

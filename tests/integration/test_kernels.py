@@ -17,7 +17,6 @@ from workloads import default_workloads, kernel_source, workload_by_name
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.ir.verifier import verify_module
 from repro.mlab.interp import MatlabInterpreter
-from repro.sim.machine import Simulator
 
 KERNEL_NAMES = [w.name for w in default_workloads()]
 
@@ -108,10 +107,8 @@ def test_speedup_sanity_on_simd_target():
     baseline = compile_source(workload.source, args=workload.arg_types,
                               entry=workload.entry,
                               options=CompilerOptions.baseline())
-    cycles_opt = Simulator(optimized.module, optimized.processor) \
-        .run(list(inputs)).report.total
-    cycles_base = Simulator(baseline.module, baseline.processor) \
-        .run(list(inputs)).report.total
+    cycles_opt = optimized.simulate(list(inputs)).report.total
+    cycles_base = baseline.simulate(list(inputs)).report.total
     assert cycles_base / cycles_opt > 4.0
 
 

@@ -261,6 +261,27 @@ def test_hotspots_requires_simulate(loop_file, capsys):
         main([str(loop_file), "--args", "double:1x32", "--hotspots"])
 
 
+def test_backend_all_runs_the_simulator_and_native_tiers(loop_file,
+                                                         capsys):
+    assert main([str(loop_file), "--args", "double:1x32", "--simulate",
+                 "--backend", "all"]) == 0
+    out = capsys.readouterr().out
+    tiers = [line.split()[0] for line in out.splitlines()
+             if line.startswith("  ") and ("wall" in line
+                                           or "skipped" in line)]
+    assert tiers == ["compiled", "native"]
+    assert "cycles (compiled):" in out
+
+
+def test_retired_reference_backend_is_usage_error(loop_file, capsys):
+    # "reference" named the tree-walking simulator, which is gone.
+    with pytest.raises(SystemExit) as info:
+        main([str(loop_file), "--args", "double:1x32", "--simulate",
+              "--backend", "reference"])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_hotspots_prints_annotated_source(loop_file, capsys):
     code = main([str(loop_file), "--args", "double:1x32",
                  "--simulate", "--hotspots"])
@@ -450,7 +471,7 @@ def test_fuzz_clean_run_exits_0(capsys):
     from repro.fuzz.cli import main as fuzz_main
 
     assert fuzz_main(["--seed", "0", "--count", "2",
-                      "--backends", "reference"]) == 0
+                      "--backends", "compiled"]) == 0
 
 
 def test_fuzz_unknown_backend_exits_2(capsys):
@@ -482,7 +503,7 @@ def test_fuzz_empty_backends_exits_2(capsys):
 def test_fuzz_unwritable_metrics_exits_1(capsys):
     from repro.fuzz.cli import main as fuzz_main
 
-    assert fuzz_main(["--count", "1", "--backends", "reference",
+    assert fuzz_main(["--count", "1", "--backends", "compiled",
                       "--metrics-json", "/nonexistent/dir/f.json"]) == 1
     assert "error" in capsys.readouterr().err
 
@@ -507,10 +528,10 @@ def test_fuzz_jobs_matches_serial(tmp_path, capsys):
     serial_json = tmp_path / "serial.json"
     par_json = tmp_path / "par.json"
     assert fuzz_main(["--seed", "3", "--count", "8",
-                      "--backends", "reference",
+                      "--backends", "compiled",
                       "--metrics-json", str(serial_json)]) == 0
     assert fuzz_main(["--seed", "3", "--count", "8", "--jobs", "2",
-                      "--backends", "reference",
+                      "--backends", "compiled",
                       "--metrics-json", str(par_json)]) == 0
     serial = json.loads(serial_json.read_text())
     par = json.loads(par_json.read_text())

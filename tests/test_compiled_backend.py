@@ -19,14 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_program, assert_cycles_pinned, assert_outputs_close
+from helpers import (as_program, assert_cycles_pinned,
+                     assert_outputs_close, golden_outputs)
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.errors import SimulationError
 from repro.fuzz.generator import GeneratedProgram
 from repro.ir import nodes as ir
-from repro.mlab.interp import MatlabInterpreter
-from repro.sim.compiled import CompiledSimulator
-from repro.sim.machine import Simulator
+from repro.sim.compiled import CompiledProgram
 
 KERNEL_DIR = Path(__file__).resolve().parents[1] / "examples" / "mlab"
 
@@ -85,8 +84,8 @@ def _compile(program: GeneratedProgram, processor: str, mode: str):
 
 
 def assert_matches_interpreter(program: GeneratedProgram, run) -> None:
-    golden = MatlabInterpreter(program.source).call(
-        program.entry, program.inputs(), nargout=program.nargout)
+    golden = golden_outputs(program.source, program.entry,
+                            program.inputs(), program.nargout)
     single = any(spec[0] == "single" for spec in program.param_specs)
     for index, expected in enumerate(golden):
         assert_outputs_close(run.outputs[index], expected,
@@ -101,18 +100,10 @@ def check_program(pin, program, processor="vliw_simd_dsp",
     for mode in modes:
         result = _compile(program, processor, mode)
         run = result.simulate(program.inputs(), hotspots=hotspots)
-        walker = Simulator(result.module, result.processor,
-                           profile_lines=hotspots).run(program.inputs())
-        assert report_of(walker) == report_of(run)
         assert_matches_interpreter(program, run)
         assert_cycles_pinned(f"{pin}/{mode}", program.source, run)
         pairs.append((result, run))
     return pairs
-
-
-def report_of(run):
-    return (run.report.total, run.report.by_category,
-            run.report.instruction_counts, run.stdout, run.line_cycles)
 
 
 def check_case(name, modes=tuple(MODES), hotspots=False):
@@ -300,8 +291,8 @@ def test_complex_arithmetic_parity():
 def test_step_limit_guard_compiled():
     src = "function y = f()\ny = 0;\nwhile 1 > 0\ny = y + 1;\nend\nend"
     result = compile_source(src, args=[])
-    simulator = CompiledSimulator(result.module, result.processor,
-                                  max_steps=10000)
+    simulator = CompiledProgram(result.module, result.processor,
+                                max_steps=10000)
     with pytest.raises(SimulationError, match="step limit"):
         simulator.run([])
 
@@ -309,7 +300,7 @@ def test_step_limit_guard_compiled():
 def test_out_of_bounds_detected_compiled():
     src = "function y = f(x, i)\ny = x(i);\nend"
     result = compile_source(src, args=[arg((1, 4)), arg()])
-    simulator = CompiledSimulator(result.module, result.processor)
+    simulator = CompiledProgram(result.module, result.processor)
     with pytest.raises(SimulationError, match="out of bounds"):
         simulator.run([np.zeros((1, 4)), 9.0])
 
@@ -322,7 +313,7 @@ _case("sum_of_squares", _SUM_OF_SQUARES, [arg((1, 16))],
 def test_compiled_program_reusable_across_runs():
     program, _ = CASES["sum_of_squares"]
     result = _compile(program, "vliw_simd_dsp", "optimized")
-    simulator = CompiledSimulator(result.module, result.processor)
+    simulator = CompiledProgram(result.module, result.processor)
     rng = np.random.default_rng(0)
     for _ in range(3):
         x = rng.standard_normal((1, 16))

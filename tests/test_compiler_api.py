@@ -97,6 +97,15 @@ def test_simulate_and_instruction_mix():
     assert mix == run.report.instruction_counts
 
 
+@pytest.mark.parametrize("retired", ["reference"])
+def test_simulate_rejects_the_retired_reference_backend(retired):
+    # "reference" named the tree-walking simulator, which is gone.
+    result = compile_source(SRC, args=[arg((1, 16))])
+    with pytest.raises(ValueError) as info:
+        result.simulate([np.zeros((1, 16))], backend=retired)
+    assert "('compiled', 'native')" in str(info.value)
+
+
 def test_intrinsics_header_accessor():
     result = compile_source(SRC, args=[arg((1, 8))])
     header = result.intrinsics_header()

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import SemanticError, UnsupportedFeatureError
+from repro.compiler import arg, compile_source
+from repro.errors import LoweringError, SemanticError, UnsupportedFeatureError
 from repro.frontend.parser import parse
+from repro.mlab.interp import MatlabInterpreter
 from repro.semantics.inference import _FunctionAnalyzer, specialize_program
 from repro.semantics.shapes import Shape
 from repro.semantics.types import DType, MType
@@ -255,27 +257,39 @@ def test_loop_nest_inference_is_linear_in_depth(depth, monkeypatch):
     assert _inner_statement_inferences(depth, monkeypatch) == depth + 1
 
 
-def _growing_chain(loop_head: str) -> str:
-    # Each round lets the growth of v20 reach one more of v19 ... v1,
-    # so the env needs more rounds than the fixpoint bound allows.
-    n = 20
+def _chain(loop_head: str, last: str, n: int = 20) -> str:
+    # Each round lets a type change of v20 reach one more of v19 ... v1,
+    # so the loop env needs about n rounds to reach its fixpoint.
     return ("function y = f(k)\n"
             + "".join(f"v{i} = 0;\n" for i in range(1, n + 1))
-            + loop_head + "\n"
+            + "c = 0;\n" + loop_head + "\nc = c + 1;\n"
             + "".join(f"v{i} = v{i + 1};\n" for i in range(1, n))
-            + f"v{n} = [v{n}, 1];\nend\ny = v1;\nend\n")
+            + last + "\nend\ny = v1;\nend\n")
 
 
+@pytest.mark.parametrize("loop_head", ["for i = 1:k", "while c < k"])
+def test_long_complex_chain_reaches_its_fixpoint(loop_head):
+    source = _chain(loop_head, "v20 = complex(real(v20) + 1, 1);")
+    assert infer(source, "f", [MType.double()]).entry.result_types[0].is_complex
+    result = compile_source(source, [arg()])
+    golden = MatlabInterpreter(source).call("f", [25.0])
+    assert result.simulate([25.0]).outputs[0] == golden[0][0, 0] == 6 + 1j
+
+
+def _growing_chain(loop_head: str) -> str:
+    return _chain(loop_head, "v20 = [v20, 1];")
+
+
+# A growing array stabilizes at an unknown length, which the lowering
+# cannot allocate: that, not the fixpoint, rejects these loops.
 def test_for_loop_that_keeps_growing_does_not_stabilize():
-    with pytest.raises(SemanticError,
-                       match="types in loop over 'i' did not stabilize"):
-        infer(_growing_chain("for i = 1:k"), "f", [MType.double()])
+    with pytest.raises(LoweringError, match="not fully known at compile"):
+        compile_source(_growing_chain("for i = 1:k"), [arg()])
 
 
 def test_while_loop_that_keeps_growing_does_not_stabilize():
-    with pytest.raises(SemanticError,
-                       match="types in while loop did not stabilize"):
-        infer(_growing_chain("while numel(v1) < k"), "f", [MType.double()])
+    with pytest.raises(LoweringError, match="not fully known at compile"):
+        compile_source(_growing_chain("while numel(v1) < k"), [arg()])
 
 
 # ----------------------------------------------------------------------

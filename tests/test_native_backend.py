@@ -3,8 +3,8 @@
 Four groups of guards:
 
 * every E1 benchmark kernel produces golden-identical outputs through
-  ``simulate(backend="native")`` (versus the interpreter, the reference
-  simulator, and the compiled-closure backend);
+  ``simulate(backend="native")`` (versus the interpreter and the
+  compiled-closure simulator);
 * the fuzz corpus and a 100-seed sweep run clean through the oracle's
   native gcc harness;
 * caching: a second native simulation of the same program performs
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import requires_gcc
+from helpers import assert_cycles_pinned, requires_gcc
 from repro.backend import harness
 from repro.compiler import compile_source
 from repro.errors import BackendError, SimulationError
@@ -62,7 +62,7 @@ def _count_gcc_calls(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Differential: every E1 kernel, native vs golden vs both simulators
+# Differential: every E1 kernel, native vs golden vs the simulator
 
 
 @requires_gcc
@@ -76,7 +76,6 @@ def test_native_matches_golden_and_simulators(kernel):
     golden = workload.golden(inputs)
 
     native = result.simulate(list(inputs), backend="native")
-    reference = result.simulate(list(inputs), backend="reference")
     compiled = result.simulate(list(inputs), backend="compiled")
 
     # Scalar outputs come back as bare Python scalars from every
@@ -84,18 +83,19 @@ def test_native_matches_golden_and_simulators(kernel):
     # 2-D before comparing, like the fuzz oracle does.
     produced = np.atleast_2d(np.asarray(native.outputs[0]))
     assert produced.shape == np.atleast_2d(np.asarray(golden)).shape
-    assert type(native.outputs[0]) is type(reference.outputs[0]), \
-        f"{kernel}: native output type differs from the simulators"
+    assert type(native.outputs[0]) is type(compiled.outputs[0]), \
+        f"{kernel}: native output type differs from the simulator"
     for label, other in (("golden", golden),
-                         ("reference", reference.outputs[0]),
                          ("compiled", compiled.outputs[0])):
         assert np.allclose(produced, np.atleast_2d(np.asarray(other)),
                            atol=workload.tolerance,
                            rtol=workload.tolerance), \
             f"{kernel}: native output diverges from {label}"
 
-    # The native tier does no cycle accounting by design.
+    # The native tier does no cycle accounting by design; the
+    # simulator's report on these inputs is pinned.
     assert native.report.total == 0
+    assert_cycles_pinned(f"workload/{kernel}", workload.source, compiled)
 
 
 @requires_gcc

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import requires_gcc
+from helpers import assert_cycles_pinned, requires_gcc
 from repro import cache
 from repro.compiler import arg, compile_source
 from repro.observe import Remark, TraceSession, trace as obs_trace
@@ -348,15 +348,13 @@ end
                                   "xcorr", "channel_est", "qr_gs",
                                   "inv3x3", "bf_weights"])
 def test_hotspot_backends_agree_exactly(name):
+    # The per-line table sums to the total, and both equal the pin.
     w = workloads.workload_by_name(name)
     result = compile_source(w.source, w.arg_types, entry=w.entry,
                             filename=f"{w.entry}.m")
-    inputs = w.inputs(seed=3)
-    ref = result.simulate(inputs, backend="reference", hotspots=True)
-    com = result.simulate(inputs, backend="compiled", hotspots=True)
-    assert ref.line_cycles == com.line_cycles
-    assert sum(ref.line_cycles.values()) == ref.report.total
-    assert ref.report.total == com.report.total
+    run = result.simulate(w.inputs(seed=3), hotspots=True)
+    assert sum(run.line_cycles.values()) == run.report.total
+    assert_cycles_pinned(f"workload/{name}", w.source, run)
 
 
 def test_hotspots_require_profiled_run():

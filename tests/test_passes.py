@@ -31,7 +31,7 @@ from repro.ir.verifier import verify_module
 from repro.semantics.inference import specialize_program
 from repro.semantics.shapes import Shape
 from repro.semantics.types import DType, MType
-from repro.sim.machine import Simulator
+from repro.sim.compiled import CompiledProgram
 
 F64 = ScalarType(ScalarKind.F64)
 
@@ -46,7 +46,7 @@ def row(n: int) -> MType:
 
 
 def run_module(module, inputs):
-    return Simulator(module, generic_scalar_dsp()).run(list(inputs))
+    return CompiledProgram(module, generic_scalar_dsp()).run(list(inputs))
 
 
 def assert_semantics_preserved(source, entry, args, inputs, pipeline):

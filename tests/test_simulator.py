@@ -7,8 +7,7 @@ from repro.asip.isa_library import generic_scalar_dsp, vliw_simd_dsp
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.errors import SimulationError
 from repro.ir.types import ScalarKind, ScalarType
-from repro.sim.cost import CostModel, CycleReport
-from repro.sim.machine import Simulator
+from repro.sim.cost import CostModel
 
 F64 = ScalarType(ScalarKind.F64)
 C128 = ScalarType(ScalarKind.C128)
@@ -186,14 +185,6 @@ def test_wrong_array_size_detected():
         result.simulate([np.zeros((1, 4))])
 
 
-def test_infinite_loop_guard():
-    src = "function y = f()\ny = 0;\nwhile 1 > 0\ny = y + 1;\nend\nend"
-    result = compile_source(src, args=[])
-    simulator = Simulator(result.module, result.processor, max_steps=10000)
-    with pytest.raises(SimulationError, match="step limit"):
-        simulator.run([])
-
-
 # ----------------------------------------------------------------------
 # Cycle accounting
 # ----------------------------------------------------------------------
@@ -226,18 +217,6 @@ def test_report_breakdown_sums_to_total():
     run = run_program("function y = f(x)\ny = sqrt(x) + 1;\nend",
                       [arg()], [4.0])
     assert sum(run.report.by_category.values()) == run.report.total
-
-
-def test_report_merge():
-    a = CycleReport()
-    a.charge("alu", 5)
-    a.count_instruction("vmac")
-    b = CycleReport()
-    b.charge("alu", 3)
-    b.charge("mem", 2)
-    a.merge(b)
-    assert a.total == 10
-    assert a.by_category == {"alu": 8, "mem": 2}
 
 
 def test_intrinsic_cycles_charged():
