@@ -87,8 +87,8 @@ SIM_BACKENDS = ("compiled", "native")
 #: a dlopened library) or shared through the compilation cache's disk
 #: layer.  The memoized C text is cheap to re-emit after a load, so it
 #: stays out of pickles and disk entries too.
-_RUNTIME_ATTRS = ("_compiled_program", "_compiled_program_profiled",
-                  "_native_programs", "_trace", "_c_text")
+_RUNTIME_ATTRS = ("_compiled_program", "_native_programs", "_trace",
+                  "_c_text")
 
 
 @dataclass
@@ -135,17 +135,14 @@ class CompilationResult:
         from repro.asip.header_gen import generate_header
         return generate_header(self.processor)
 
-    def compiled_program(self, profile_lines: bool = False):
+    def compiled_program(self):
         """The compiled-closure executor for this module (built once;
-        the line-profiling variant is compiled and cached separately)."""
-        attr = "_compiled_program_profiled" if profile_lines \
-            else "_compiled_program"
-        program = getattr(self, attr, None)
+        plain and hotspot runs share it)."""
+        program = getattr(self, "_compiled_program", None)
         if program is None:
             from repro.sim.compiled import CompiledProgram
-            program = CompiledProgram(self.module, self.processor,
-                                      profile_lines=profile_lines)
-            setattr(self, attr, program)
+            program = CompiledProgram(self.module, self.processor)
+            self._compiled_program = program
         return program
 
     def native_program(self, cc: str = "gcc"):
@@ -215,7 +212,7 @@ class CompilationResult:
         """One run on ``backend`` (validated by :meth:`simulate`)."""
         if backend == "native":
             return self.native_program().run(args)
-        return self.compiled_program(profile_lines=hotspots).run(args)
+        return self.compiled_program().run(args, hotspots=hotspots)
 
     def ir_dump(self) -> str:
         from repro.ir.printer import format_module

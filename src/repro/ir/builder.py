@@ -925,6 +925,8 @@ class _FunctionLowerer:
                       imag: ir.Expr | None) -> ir.Expr:
         comp = ScalarType(result_t.kind.real_kind)
         if imag is None:
+            if real.type.is_complex:
+                return self.coerce(real, result_t)
             imag = ir.Const(comp, 0.0)
         return ir.MakeComplex(result_t, real=self.coerce(real, comp),
                               imag=self.coerce(imag, comp))

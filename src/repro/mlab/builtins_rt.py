@@ -371,9 +371,14 @@ def _log(args, nargout, stdout):
 
 
 def _complex_build(args, nargout, stdout):
-    real = to_value(args[0]).astype(np.float64)
-    imag = to_value(args[1]).astype(np.float64) if len(args) > 1 else 0.0
-    return [real + 1j * imag]
+    values = [to_value(a) for a in args]
+    if len(values) == 1 and np.iscomplexobj(values[0]):
+        return [values[0].astype(np.complex128)]
+    if any(np.iscomplexobj(v) for v in values):
+        raise InterpreterError(
+            "complex(): with two arguments, both inputs must be real")
+    imag = values[1].astype(np.float64) if len(values) > 1 else 0.0
+    return [values[0].astype(np.float64) + 1j * imag]
 
 
 def _reshape(args, nargout, stdout):

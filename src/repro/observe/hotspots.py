@@ -1,11 +1,11 @@
 """Per-source-line cycle attribution rendered as annotated source.
 
-Both simulator backends can record ``line_cycles`` — a mapping from
-1-based MATLAB source lines to the cycles charged while executing
-statements lowered from that line (line 0 collects compiler-generated
-statements with no source mapping, e.g. CSE temporaries).  The two
-backends agree exactly on these totals; ``tests/test_observe.py``
-checks the invariant differentially.
+A hotspot run of the cycle simulator prices ``line_cycles`` — a
+mapping from 1-based MATLAB source lines to the cycles charged while
+executing statements lowered from that line (line 0 collects
+compiler-generated statements with no source mapping, e.g. CSE
+temporaries).  The per-line cycles sum to the report's total;
+``tests/cycle_pins.json`` pins them.
 """
 
 from __future__ import annotations

@@ -125,6 +125,10 @@ class Histogram:
         bucket's bounds, clamped to the exact observed min/max.  Purely
         a function of the (integer) histogram state, so the estimate is
         identical no matter how the histogram was sharded and merged.
+
+        A bucket holds the integers in ``(lo, hi]``; the interpolation
+        rounds up in exact integer arithmetic so the estimate never
+        falls onto ``lo``, which belongs to the bucket below.
         """
         if self.count == 0:
             return None
@@ -136,9 +140,8 @@ class Histogram:
             if cumulative + bucket_count >= rank:
                 lo = BOUNDS[index - 1] if index > 0 else 0
                 hi = BOUNDS[index] if index < len(BOUNDS) else self.max_ns
-                position = (rank - cumulative) / bucket_count
-                value = lo + position * (hi - lo)
-                return int(min(max(value, self.min_ns), self.max_ns))
+                offset = -(-(rank - cumulative) * (hi - lo) // bucket_count)
+                return min(max(lo + offset, self.min_ns), self.max_ns)
             cumulative += bucket_count
         return self.max_ns  # unreachable; counts sum to count
 

@@ -132,6 +132,9 @@ def _infer_linspace(args, call, ctx):
 def _infer_complex(args, call, ctx):
     shape = args[0].shape
     if len(args) == 2:
+        if args[0].is_complex or args[1].is_complex:
+            ctx.error("complex(): with two arguments, both inputs must "
+                      "be real", call.span)
         combined = shape.elementwise(args[1].shape)
         if combined is None:
             ctx.error(

@@ -1,9 +1,10 @@
 """Cycle-accurate IR execution against ASIP cost models.
 
 :class:`~repro.sim.compiled.CompiledProgram` translates an IR module
-once into Python functions that charge every operation's cycle cost
-against a :class:`~repro.sim.cost.CostModel`, and reuses them for every
-run.  :mod:`repro.sim.machine` holds the runtime helpers and the
+once into Python functions that count how often each charge point
+executes, and reuses them for every run; a
+:class:`~repro.sim.cost.CostModel` prices the points into each run's
+:class:`~repro.sim.cost.CycleReport`.  :mod:`repro.sim.machine` holds the runtime helpers and the
 :class:`~repro.sim.machine.ExecutionResult` a run returns.
 """
 

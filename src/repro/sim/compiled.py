@@ -7,48 +7,56 @@ become pre-resolved operations), compiled with ``exec`` against a
 namespace of pre-bound helper closures, and reused for every
 subsequent run.
 
-Cost semantics (every cost comes from the processor's
-:class:`~repro.sim.cost.CostModel`):
+Cost semantics.  Translation reads no processor: every node adds
+processor-free cost terms (see :mod:`repro.sim.cost`) to the multiset
+of its charge point, keyed by ``(source line, term)``, and the
+processor's :class:`~repro.sim.cost.CostModel` prices each point once
+per program.  Terms and the category that prices them:
 
-* ``move``: an ``AssignVar``, a ``VecSplat``, and two per
-  ``MakeComplex``;
-* ``mem``: a scalar load or store, and per element of a ``CopyArray``;
-* ``alu``: a scalar unary or binary operation (charged once for a
-  short-circuiting ``land`` / ``lor``) and a cast; vector operations
-  charge only through their custom instruction;
-* ``math``: a ``MathCall``;
-* ``branch``: an ``If``, every ``for`` iteration, and every ``while``
-  condition check including the final failing one;
-* ``call``: a user-function call;
-* ``intrinsic``: a custom instruction (an ``IntrinsicCall``, or a
-  ``VecLoad`` / ``VecStore`` that carries one), which also bumps its
-  ``instruction_counts`` entry.
+* ``move``: ``("move",)`` for an ``AssignVar``, a ``VecSplat``, and
+  twice per ``MakeComplex``;
+* ``mem``: ``("load", c)`` / ``("store", c)`` for a scalar load or
+  store, and ``("copy", c)`` per element of a ``CopyArray``;
+* ``alu``: ``("binop", op, c)`` / ``("unop", op, c)`` for a scalar
+  operation (one for a short-circuiting ``land`` / ``lor``) and
+  ``("cast",)``; vector operations charge only through their custom
+  instruction;
+* ``math``: ``("math", name, c)`` for a ``MathCall``;
+* ``branch``: ``("branch",)`` for an ``If``, every ``for`` iteration,
+  and every ``while`` condition check including the final failing one;
+* ``call``: ``("call",)`` for a user-function call;
+* ``intrinsic``: ``("intrinsic", name)`` for a custom instruction (an
+  ``IntrinsicCall``, or a ``VecLoad`` / ``VecStore`` that carries one),
+  priced from the processor's instruction table; it also counts in
+  ``instruction_counts``.
 
-A line-profiled run attributes each charge to the source line of the
-statement that incurs it; loop control belongs to the loop's own line.
-``tests/cycle_pins.json`` pins the resulting reports.
+``c`` says whether the operand is complex.  Each term is attributed to
+the source line of the statement that incurs it; loop control belongs
+to the loop's own line.
 
-Cycle accounting is batched per basic block: during translation the
-static portion of every straight-line statement group (costs that are
-charged unconditionally whenever the group executes) is folded into a
-handful of counter increments emitted once at the head of the group,
-instead of one charge per node visit.  Conditionally evaluated work
-(the right-hand side of a short-circuiting ``land`` / ``lor``, ``If``
-branches, ``while`` bodies) keeps its own flush, so a category or
-instruction that never executes leaves no key in the report.
+A charge point is one straight-line statement group: the terms charged
+unconditionally whenever the group executes.  Each point executes as
+one counter update, ``_p[k] += 1``, at the head of its group.
+Conditionally evaluated work (the right-hand side of a
+short-circuiting ``land`` / ``lor``, ``If`` branches, ``while`` bodies)
+has its own point.  A run records how often each point executed; its
+report sums count x priced point over the points that executed, so a
+category or instruction that never executes leaves no key, and a
+hotspot run prices ``line_cycles`` from the same counts without a
+second translation.  ``tests/cycle_pins.json`` pins the reports.
 
 Loops are charged once per loop, not per iteration.  A ``ForRange``
 whose body holds no statement that can cut an iteration short (a
 ``Break``, ``Continue`` or ``Return``) charges the same every
 iteration: the body's leading group plus the loop branch.  With
-constant bounds, trip count x that charge is folded into the enclosing
-group at translate time, so a whole constant nest such as ``matmul``
-costs one flush; with run-time bounds, the generated code binds the
-``range`` once and charges ``len(range)`` x the charge under
-``if range:`` ahead of the loop, so a zero-trip loop creates no
-counter key.  The per-line costs of a line profile are scaled the same
-way.  A loop whose iterations can stop early flushes at the head of
-each iteration.
+constant bounds, trip count x those terms are folded into the
+enclosing group at translate time, so a whole constant nest such as
+``matmul`` is one point; with run-time bounds, the generated code binds
+the ``range`` once and adds ``len(range)`` to the body's point ahead of
+the loop.  A loop whose iterations can stop early bumps its point at
+the head of each iteration.  The one run-time charge, an array copy of
+shape unknown at translate time, adds its element count to a point
+whose term is one element copy of that kind.
 
 Vector operands make no numpy temporary.  Every vector ``BinOp`` and
 custom instruction builds a fresh result array, so a ``VecLoad``
@@ -72,6 +80,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -80,7 +89,7 @@ from repro.errors import SimulationError
 from repro.numeric import c_pow
 from repro.ir import nodes as ir
 from repro.ir.types import ArrayType, ScalarKind, ScalarType, VectorType
-from repro.sim.cost import CostModel, CycleReport
+from repro.sim.cost import CostModel, cycle_report, line_cycles
 from repro.sim.machine import (
     ExecutionResult,
     as_buffer,
@@ -89,12 +98,6 @@ from repro.sim.machine import (
     from_numpy,
     numpy_dtype,
 )
-
-#: Fixed counter slots for batched accounting, one per
-#: ``CycleReport.by_category`` key.
-_CATEGORIES = ("move", "mem", "branch", "alu", "math", "call", "intrinsic")
-_MOVE, _MEM, _BRANCH, _ALU, _MATH, _CALL, _INTR = range(len(_CATEGORIES))
-
 
 # ----------------------------------------------------------------------
 # Runtime helpers bound into every generated function's namespace.
@@ -290,6 +293,9 @@ _SCALAR_OPERAND_BINOPS = frozenset(
 _SCALAR_OPERAND_INTRINSICS = frozenset(
     ("vadd", "vsub", "vmul", "vdiv", "vmin", "vmax"))
 
+_COMPARISONS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
+                "ge": ">="}
+
 
 def _is_splat(expr: ir.Expr) -> bool:
     return isinstance(expr, ir.VecSplat) or (
@@ -312,11 +318,6 @@ def _scalar_operands(op: str, args: list[ir.Expr]) -> list[bool]:
         left, right = splat
         return [left and not right, right and not left]
     return [False] * len(args)
-
-
-def _merge(dst: dict, src: dict) -> None:
-    for key, value in src.items():
-        dst[key] = dst.get(key, 0) + value
 
 
 def _raises_return(body: list[ir.Stmt]) -> bool:
@@ -352,24 +353,22 @@ _SANITIZE = re.compile(r"\W")
 
 
 class _FuncCodegen:
-    """Translates one IRFunction into Python source + helper namespace."""
+    """Translates one IRFunction into Python source + helper namespace.
+
+    Expression and statement translators take ``terms``, the cost-term
+    multiset of the charge point the code they emit belongs to, and add
+    their own terms to it."""
 
     def __init__(self, program: "CompiledProgram", func: ir.IRFunction):
         self.program = program
         self.func = func
-        self.cost = program.cost
-        self.profile = program.profile_lines
         self.ns: dict[str, object] = dict(_BASE_NS)
-        self.ns["_a"] = program.acc
-        self.ns["_ic"] = program.icounts
-        self.ns["_lc"] = program.line_cycles
+        self.ns["_p"] = program.counts
         self.ns["_t"] = program.steps
         self.ns["_MS"] = program.max_steps
-        self.ns["_out"] = program.stdout
         self._uid = 0
-        #: Source line of the statement currently being translated;
-        #: charge closures capture it so conditionally-evaluated work
-        #: attributes to the line of the statement that evaluates it.
+        #: Source line of the statement currently being translated; its
+        #: terms, conditionally evaluated ones included, carry this line.
         self._cur_line = 0
         # Scalars written by Call statements must live in the S dict so
         # the callee-invocation helper can update them; everything else
@@ -418,50 +417,16 @@ class _FuncCodegen:
 
     # -- accounting ----------------------------------------------------
 
-    def flush_lines(self, static: dict[int, int],
-                    counts: dict[str, int],
-                    linecost: "dict[int, int] | None" = None,
-                    times: str = "") -> list[str]:
-        """Counter updates charging one group; ``times`` names a run-time
-        multiplier (a loop's trip count) applied to every charge."""
-        def amount(value: int) -> str:
-            if not times:
-                return str(value)
-            return times if value == 1 else f"{times} * {value}"
-        lines = []
-        for index in sorted(static):
-            cycles = static[index]
-            if cycles:
-                lines.append(f"_a[{index}] += {amount(cycles)}")
-        for name, count in counts.items():
-            lines.append(f"_ic[{name!r}] = _ic.get({name!r}, 0) + "
-                         f"{amount(count)}")
-        if self.profile and linecost:
-            for line in sorted(linecost):
-                cycles = linecost[line]
-                if cycles:
-                    lines.append(f"_lc[{line}] = _lc.get({line}, 0) + "
-                                 f"{amount(cycles)}")
-        return lines
+    def charge(self, terms: Counter, *term) -> None:
+        """One occurrence of ``term`` on the current statement's line."""
+        terms[self._cur_line, term] += 1
 
-    def charge_closure(self, static: dict[int, int],
-                       counts: dict[str, int]) -> str:
-        acc = self.program.acc
-        icounts = self.program.icounts
-        pairs = [(i, c) for i, c in sorted(static.items()) if c]
-        cpairs = list(counts.items())
-        line_cycles = self.program.line_cycles if self.profile else None
-        line = self._cur_line
-        total = sum(c for _, c in pairs)
-
-        def charge():
-            for index, cycles in pairs:
-                acc[index] += cycles
-            for name, count in cpairs:
-                icounts[name] = icounts.get(name, 0) + count
-            if line_cycles is not None and total:
-                line_cycles[line] = line_cycles.get(line, 0) + total
-        return self.bind("_chg", charge)
+    def flush(self, terms: Counter, times: str = "1") -> list[str]:
+        """The counter update that charges ``terms`` as a new charge
+        point ``times`` times (none for an empty multiset)."""
+        if not terms:
+            return []
+        return [f"_p[{self.program.point(terms)}] += {times}"]
 
     # -- static int analysis (lets Load/Store skip int() conversions) --
 
@@ -509,20 +474,17 @@ class _FuncCodegen:
         return f"({code}).real"
 
     def int_code(self, expr: ir.Expr, intvars: set[str],
-                 static: dict, counts: dict) -> str:
-        code, est, ecn = self.expr(expr, intvars)
-        _merge(static, est)
-        _merge(counts, ecn)
+                 terms: Counter) -> str:
+        code = self.expr(expr, intvars, terms)
         if self._is_int(expr, intvars):
             return code
         return f"int({code})"
 
     # -- expressions ---------------------------------------------------
 
-    def _scalar_type(self, expr: ir.Expr) -> ScalarType:
-        if isinstance(expr.type, ScalarType):
-            return expr.type
-        return ScalarType(ScalarKind.F64)
+    def _is_complex(self, expr: ir.Expr) -> bool:
+        """Is ``expr`` a complex scalar (a non-scalar counts as real)?"""
+        return isinstance(expr.type, ScalarType) and expr.type.is_complex
 
     def _array_info(self, name: str):
         declared = self.func.local_type(name)
@@ -548,50 +510,48 @@ class _FuncCodegen:
         return str(declared.numel) if declared is not None \
             else f"{alias}.size"
 
-    def expr(self, e: ir.Expr, intvars: set[str]):
-        """Return ``(code, static_charges, static_instruction_counts)``."""
+    def expr(self, e: ir.Expr, intvars: set[str], terms: Counter) -> str:
+        """The Python expression of ``e``; its terms go to ``terms``."""
         if isinstance(e, ir.Const):
-            return self._const_code(e.value), {}, {}
+            return self._const_code(e.value)
         if isinstance(e, ir.VarRef):
             if e.name in self.dict_scalars:
-                return f"S[{e.name!r}]", {}, {}
-            return self.local(e.name), {}, {}
+                return f"S[{e.name!r}]"
+            return self.local(e.name)
         if isinstance(e, ir.Load):
-            return self._load_expr(e, intvars)
+            return self._load_expr(e, intvars, terms)
         if isinstance(e, ir.BinOp):
-            return self._binop_expr(e, intvars)
+            return self._binop_expr(e, intvars, terms)
         if isinstance(e, ir.UnOp):
-            code, static, counts = self.expr(e.operand, intvars)
-            _merge(static, {_ALU: self.cost.unop(e.op, self._scalar_type(e))})
+            code = self.expr(e.operand, intvars, terms)
+            self.charge(terms, "unop", e.op, self._is_complex(e))
             if e.op == "neg":
-                return f"(-{code})", static, counts
-            return f"(not bool({code}))", static, counts
+                return f"(-{code})"
+            return f"(not bool({code}))"
         if isinstance(e, ir.MathCall):
-            return self._math_expr(e, intvars)
+            return self._math_expr(e, intvars, terms)
         if isinstance(e, ir.Cast):
-            code, static, counts = self.expr(e.operand, intvars)
-            _merge(static, {_ALU: self.cost.cast()})
+            code = self.expr(e.operand, intvars, terms)
+            self.charge(terms, "cast")
             kind = e.type.kind
             if kind.is_complex:
-                return f"complex({code})", static, counts
+                return f"complex({code})"
             code = self._real_code(e.operand, code, intvars, kind)
-            return _REAL_CASTS[kind].format(code), static, counts
+            return _REAL_CASTS[kind].format(code)
         if isinstance(e, ir.MakeComplex):
-            rcode, static, counts = self.expr(e.real, intvars)
-            icode, ist, icn = self.expr(e.imag, intvars)
-            _merge(static, ist)
-            _merge(counts, icn)
-            _merge(static, {_MOVE: 2 * self.cost.move()})
-            return f"complex({rcode}, {icode})", static, counts
+            rcode = self.expr(e.real, intvars, terms)
+            icode = self.expr(e.imag, intvars, terms)
+            self.charge(terms, "move")
+            self.charge(terms, "move")
+            return f"complex({rcode}, {icode})"
         if isinstance(e, ir.VecLoad):
-            return self._vecload_expr(e, intvars)
+            return self._vecload_expr(e, intvars, terms)
         if isinstance(e, ir.VecSplat):
-            code, static, counts = self.expr(e.operand, intvars)
-            _merge(static, {_MOVE: self.cost.move()})
-            return (self._splat_code(e, e.operand, code, intvars),
-                    static, counts)
+            code = self.expr(e.operand, intvars, terms)
+            self.charge(terms, "move")
+            return self._splat_code(e, e.operand, code, intvars)
         if isinstance(e, ir.IntrinsicCall):
-            return self._intrinsic_expr(e, intvars)
+            return self._intrinsic_expr(e, intvars, terms)
         raise SimulationError(f"cannot evaluate {type(e).__name__}")
 
     def _const_code(self, value) -> str:
@@ -603,129 +563,92 @@ class _FuncCodegen:
             return repr(value)
         return self.bind("_k", value)
 
-    def _load_expr(self, e: ir.Load, intvars):
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
-        idx = self.int_code(e.index, intvars, static, counts)
-        elem = e.type if isinstance(e.type, ScalarType) \
-            else ScalarType(ScalarKind.F64)
-        _merge(static, {_MEM: self.cost.load(elem)})
+    def _load_expr(self, e: ir.Load, intvars, terms):
+        idx = self.int_code(e.index, intvars, terms)
+        self.charge(terms, "load", self._is_complex(e))
         alias = self.array(e.array)
         size = self._size_code(e.array, alias)
         conv = self._load_conv(e.array)
         j = f"_j{self.uid()}"
-        code = (f"({conv}({alias}[{j}]) "
+        return (f"({conv}({alias}[{j}]) "
                 f"if 0 <= ({j} := {idx}) < {size} "
                 f"else _oob({e.array!r}, {size}, {j}, 1))")
-        return code, static, counts
 
-    def _binop_expr(self, e: ir.BinOp, intvars):
+    def _binop_expr(self, e: ir.BinOp, intvars, terms):
         op = e.op
         if op in ("land", "lor"):
-            static: dict[int, int] = {
-                _ALU: self.cost.binop(op, self._scalar_type(e.left))}
-            counts: dict[str, int] = {}
-            lcode, lst, lcn = self.expr(e.left, intvars)
-            _merge(static, lst)
-            _merge(counts, lcn)
-            rcode, rst, rcn = self.expr(e.right, intvars)
-            if rst or rcn:
+            self.charge(terms, "binop", op, self._is_complex(e.left))
+            lcode = self.expr(e.left, intvars, terms)
+            right = Counter()
+            rcode = self.expr(e.right, intvars, right)
+            if right:
                 # Right side only evaluated (and charged) on demand.
-                chg = self.charge_closure(rst, rcn)
-                rcode = f"({chg}(), {rcode})[1]"
+                k = self.program.point(right)
+                rcode = f"(_p.__setitem__({k}, _p[{k}] + 1), {rcode})[1]"
             joiner = "and" if op == "land" else "or"
-            return (f"(bool({lcode}) {joiner} bool({rcode}))",
-                    static, counts)
+            return f"(bool({lcode}) {joiner} bool({rcode}))"
 
         is_vector = isinstance(e.type, VectorType)
         if is_vector:
-            (lcode, rcode), static, counts = self._vec_operands(
-                op, [e.left, e.right], intvars)
+            lcode, rcode = self._vec_operands(op, [e.left, e.right],
+                                              intvars, terms)
         else:
-            lcode, static, counts = self.expr(e.left, intvars)
-            rcode, rst, rcn = self.expr(e.right, intvars)
-            _merge(static, rst)
-            _merge(counts, rcn)
-        if not is_vector:
-            _merge(static, {
-                _ALU: self.cost.binop(op, self._scalar_type(e.left))})
+            lcode = self.expr(e.left, intvars, terms)
+            rcode = self.expr(e.right, intvars, terms)
+            self.charge(terms, "binop", op, self._is_complex(e.left))
         if op == "add":
-            code = f"({lcode} + {rcode})"
-        elif op == "sub":
-            code = f"({lcode} - {rcode})"
-        elif op == "mul":
-            code = f"({lcode} * {rcode})"
-        elif op == "div":
+            return f"({lcode} + {rcode})"
+        if op == "sub":
+            return f"({lcode} - {rcode})"
+        if op == "mul":
+            return f"({lcode} * {rcode})"
+        if op == "div":
             if isinstance(e.type, ScalarType) and e.type.kind.is_integer:
-                code = f"_idiv({lcode}, {rcode})"
-            else:
-                code = f"_fdiv({lcode}, {rcode})"
-        elif op == "pow":
-            code = f"_powop({lcode}, {rcode})"
-        elif op == "rem":
-            code = f"_remop({lcode}, {rcode})"
-        elif op == "min":
-            code = f"_npmin({lcode}, {rcode})" if is_vector \
+                return f"_idiv({lcode}, {rcode})"
+            return f"_fdiv({lcode}, {rcode})"
+        if op == "pow":
+            return f"_powop({lcode}, {rcode})"
+        if op == "rem":
+            return f"_remop({lcode}, {rcode})"
+        if op == "min":
+            return f"_npmin({lcode}, {rcode})" if is_vector \
                 else f"min({lcode}, {rcode})"
-        elif op == "max":
-            code = f"_npmax({lcode}, {rcode})" if is_vector \
+        if op == "max":
+            return f"_npmax({lcode}, {rcode})" if is_vector \
                 else f"max({lcode}, {rcode})"
-        elif op == "eq":
-            code = f"({lcode} == {rcode})"
-        elif op == "ne":
-            code = f"({lcode} != {rcode})"
-        elif op == "lt":
-            code = f"({lcode} < {rcode})"
-        elif op == "le":
-            code = f"({lcode} <= {rcode})"
-        elif op == "gt":
-            code = f"({lcode} > {rcode})"
-        elif op == "ge":
-            code = f"({lcode} >= {rcode})"
-        else:
+        comparison = _COMPARISONS.get(op)
+        if comparison is None:
             raise SimulationError(f"unknown binary op {op!r}")
-        return code, static, counts
+        return f"({lcode} {comparison} {rcode})"
 
-    def _math_expr(self, e: ir.MathCall, intvars):
+    def _math_expr(self, e: ir.MathCall, intvars, terms):
         if e.name not in _MATH_HELPERS:
             raise SimulationError(f"unknown math function {e.name!r}")
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
-        parts = []
-        for a in e.args:
-            code, ast, acn = self.expr(a, intvars)
-            _merge(static, ast)
-            _merge(counts, acn)
-            parts.append(code)
-        operand_t = self._scalar_type(e.args[0]) if e.args \
-            else ScalarType(ScalarKind.F64)
-        _merge(static, {_MATH: self.cost.math(e.name, operand_t)})
-        return f"_m_{e.name}({', '.join(parts)})", static, counts
+        parts = [self.expr(a, intvars, terms) for a in e.args]
+        self.charge(terms, "math", e.name,
+                    bool(e.args) and self._is_complex(e.args[0]))
+        return f"_m_{e.name}({', '.join(parts)})"
 
-    def _vec_operands(self, op: str, args: list[ir.Expr], intvars):
+    def _vec_operands(self, op: str, args: list[ir.Expr], intvars, terms):
         """Codes of the operands of a vector op, with no numpy temporary
         per operand: the op builds a fresh array, so a ``VecLoad`` reads
         as a slice view, and a splat reads as a dtype scalar wherever
         numpy can broadcast it (see ``_scalar_operands``)."""
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
         codes = []
         for arg, scalar in zip(args, _scalar_operands(op, args)):
             if isinstance(arg, ir.VecLoad):
-                code, ast, acn = self._vecload_expr(arg, intvars, view=True)
+                code = self._vecload_expr(arg, intvars, terms, view=True)
             elif scalar and isinstance(arg, ir.VecSplat):
-                code, ast, acn = self.expr(arg.operand, intvars)
-                _merge(ast, {_MOVE: self.cost.move()})
+                code = self.expr(arg.operand, intvars, terms)
+                self.charge(terms, "move")
                 code = self._lane_scalar(arg, arg.operand, code, intvars)
             elif scalar:  # a vsplat custom instruction
-                code, ast, acn = self._intrinsic_expr(arg, intvars,
-                                                      scalar=True)
+                code = self._intrinsic_expr(arg, intvars, terms,
+                                            scalar=True)
             else:
-                code, ast, acn = self.expr(arg, intvars)
-            _merge(static, ast)
-            _merge(counts, acn)
+                code = self.expr(arg, intvars, terms)
             codes.append(code)
-        return codes, static, counts
+        return codes
 
     def _lane_scalar(self, splat: ir.Expr, operand: ir.Expr, code: str,
                      intvars) -> str:
@@ -742,14 +665,11 @@ class _FuncCodegen:
         value = self._real_code(operand, code, intvars, kind)
         return f"_splat({splat.type.lanes}, {value}, {dt})"
 
-    def _vecload_expr(self, e: ir.VecLoad, intvars, view: bool = False):
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
-        base = self.int_code(e.base, intvars, static, counts)
+    def _vecload_expr(self, e: ir.VecLoad, intvars, terms,
+                      view: bool = False):
+        base = self.int_code(e.base, intvars, terms)
         if e.instruction is not None:
-            _merge(static,
-                   {_INTR: self.cost.intrinsic(e.instruction.cycles)})
-            _merge(counts, {e.instruction.name: 1})
+            self.charge(terms, "intrinsic", e.instruction.name)
         lanes = e.type.lanes
         alias = self.array(e.array)
         size = self._size_code(e.array, alias)
@@ -759,106 +679,93 @@ class _FuncCodegen:
             slice_code += "[::-1]"
         if not view:
             slice_code += ".copy()"
-        code = (f"({slice_code} "
+        return (f"({slice_code} "
                 f"if 0 <= ({j} := {base}) <= {size} - {lanes} "
                 f"else _oob({e.array!r}, {size}, {j}, {lanes}))")
-        return code, static, counts
 
-    def _intrinsic_expr(self, e: ir.IntrinsicCall, intvars,
+    def _intrinsic_expr(self, e: ir.IntrinsicCall, intvars, terms,
                         scalar: bool = False):
         """``scalar``: a vsplat operand that may read as a dtype scalar."""
         instr = e.instruction
         op = instr.operation
-        a, static, counts = self._vec_operands(op, e.args, intvars)
-        _merge(static, {_INTR: self.cost.intrinsic(instr.cycles)})
-        _merge(counts, {instr.name: 1})
+        a = self._vec_operands(op, e.args, intvars, terms)
+        self.charge(terms, "intrinsic", instr.name)
         if op in ("vadd", "cadd"):
-            code = f"({a[0]} + {a[1]})"
-        elif op in ("vsub", "csub"):
-            code = f"({a[0]} - {a[1]})"
-        elif op in ("vmul", "cmul"):
-            code = f"({a[0]} * {a[1]})"
-        elif op == "vdiv":
-            code = f"({a[0]} / {a[1]})"
-        elif op in ("vmac", "cmac", "mac"):
-            code = f"({a[0]} + {a[1]} * {a[2]})"
-        elif op == "vmin":
-            code = f"_npmin({a[0]}, {a[1]})"
-        elif op == "vmax":
-            code = f"_npmax({a[0]}, {a[1]})"
-        elif op == "vabs":
-            code = f"_npabs({a[0]})"
-        elif op == "vneg":
-            code = f"(-{a[0]})"
-        elif op == "vconj":
-            code = f"_npconj({a[0]})"
-        elif op == "vsplat" and scalar:
-            code = self._lane_scalar(e, e.args[0], a[0], intvars)
-        elif op == "vsplat":
-            code = self._splat_code(e, e.args[0], a[0], intvars)
-        elif op == "vredadd":
-            code = f"_fromnp(_npsum({a[0]}))"
-        elif op == "vredmin":
-            code = f"_fromnp(_npamin({a[0]}))"
-        elif op == "vredmax":
-            code = f"_fromnp(_npamax({a[0]}))"
-        elif op == "cconj":
-            code = f"({a[0]}).conjugate()"
-        elif op == "cmag2":
-            code = f"_cmag2({a[0]})"
-        elif op == "clip":
-            code = f"min(max({a[0]}, {a[1]}), {a[2]})"
-        else:
-            raise SimulationError(f"unknown intrinsic operation {op!r}")
-        return code, static, counts
+            return f"({a[0]} + {a[1]})"
+        if op in ("vsub", "csub"):
+            return f"({a[0]} - {a[1]})"
+        if op in ("vmul", "cmul"):
+            return f"({a[0]} * {a[1]})"
+        if op == "vdiv":
+            return f"({a[0]} / {a[1]})"
+        if op in ("vmac", "cmac", "mac"):
+            return f"({a[0]} + {a[1]} * {a[2]})"
+        if op == "vmin":
+            return f"_npmin({a[0]}, {a[1]})"
+        if op == "vmax":
+            return f"_npmax({a[0]}, {a[1]})"
+        if op == "vabs":
+            return f"_npabs({a[0]})"
+        if op == "vneg":
+            return f"(-{a[0]})"
+        if op == "vconj":
+            return f"_npconj({a[0]})"
+        if op == "vsplat" and scalar:
+            return self._lane_scalar(e, e.args[0], a[0], intvars)
+        if op == "vsplat":
+            return self._splat_code(e, e.args[0], a[0], intvars)
+        if op == "vredadd":
+            return f"_fromnp(_npsum({a[0]}))"
+        if op == "vredmin":
+            return f"_fromnp(_npamin({a[0]}))"
+        if op == "vredmax":
+            return f"_fromnp(_npamax({a[0]}))"
+        if op == "cconj":
+            return f"({a[0]}).conjugate()"
+        if op == "cmag2":
+            return f"_cmag2({a[0]})"
+        if op == "clip":
+            return f"min(max({a[0]}, {a[1]}), {a[2]})"
+        raise SimulationError(f"unknown intrinsic operation {op!r}")
 
     # -- statements ----------------------------------------------------
 
-    def stmt(self, s: ir.Stmt, intvars: set[str]):
-        """Return ``(lines, static_charges, static_counts, linecost)``.
-
-        ``linecost`` splits the static cycles by source line: all on the
-        statement's own line, except for a loop whose body charges are
-        folded into its static ones."""
+    def stmt(self, s: ir.Stmt, intvars: set[str], terms: Counter):
+        """The lines of ``s``; its unconditional terms go to ``terms``."""
         self._cur_line = s.line
-        if isinstance(s, ir.ForRange):
-            return self._for_stmt(s, intvars)
-        lines, static, counts = self._stmt(s, intvars)
-        return lines, static, counts, {s.line: sum(static.values())}
-
-    def _stmt(self, s: ir.Stmt, intvars: set[str]):
         if isinstance(s, ir.AssignVar):
-            return self._assign_stmt(s, intvars)
+            return self._assign_stmt(s, intvars, terms)
         if isinstance(s, ir.Store):
-            return self._store_stmt(s, intvars)
+            return self._store_stmt(s, intvars, terms)
         if isinstance(s, ir.VecStore):
-            return self._vecstore_stmt(s, intvars)
+            return self._vecstore_stmt(s, intvars, terms)
         if isinstance(s, ir.IntrinsicStmt):
-            code, static, counts = self.expr(s.call, intvars)
-            return [code], static, counts
+            return [self.expr(s.call, intvars, terms)]
+        if isinstance(s, ir.ForRange):
+            return self._for_stmt(s, intvars, terms)
         if isinstance(s, ir.While):
             return self._while_stmt(s, intvars)
         if isinstance(s, ir.If):
-            return self._if_stmt(s, intvars)
+            return self._if_stmt(s, intvars, terms)
         if isinstance(s, ir.Break):
-            return ["break"], {}, {}
+            return ["break"]
         if isinstance(s, ir.Continue):
-            return ["continue"], {}, {}
+            return ["continue"]
         if isinstance(s, ir.Return):
-            return self.epilogue_lines() + ["return"], {}, {}
+            return self.epilogue_lines() + ["return"]
         if isinstance(s, ir.Call):
-            return self._call_stmt(s, intvars)
+            return self._call_stmt(s, intvars, terms)
         if isinstance(s, ir.Emit):
-            return self._emit_stmt(s, intvars)
+            return self._emit_stmt(s, intvars, terms)
         if isinstance(s, ir.CopyArray):
-            return self._copy_stmt(s)
+            return self._copy_stmt(s, terms)
         raise SimulationError(
             f"cannot execute statement {type(s).__name__}")
 
-    def _assign_stmt(self, s: ir.AssignVar, intvars):
+    def _assign_stmt(self, s: ir.AssignVar, intvars, terms):
         is_int = self._is_int(s.value, intvars)
-        code, static, counts = self.expr(s.value, intvars)
-        _merge(static, {_MOVE: self.cost.move()})
+        code = self.expr(s.value, intvars, terms)
+        self.charge(terms, "move")
         if s.name in self.dict_scalars:
             line = f"S[{s.name!r}] = {code}"
         else:
@@ -867,18 +774,12 @@ class _FuncCodegen:
             intvars.add(s.name)
         else:
             intvars.discard(s.name)
-        return [line], static, counts
+        return [line]
 
-    def _store_stmt(self, s: ir.Store, intvars):
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
-        idx = self.int_code(s.index, intvars, static, counts)
-        vcode, vst, vcn = self.expr(s.value, intvars)
-        _merge(static, vst)
-        _merge(counts, vcn)
-        elem = s.value.type if isinstance(s.value.type, ScalarType) \
-            else ScalarType(ScalarKind.F64)
-        _merge(static, {_MEM: self.cost.store(elem)})
+    def _store_stmt(self, s: ir.Store, intvars, terms):
+        idx = self.int_code(s.index, intvars, terms)
+        vcode = self.expr(s.value, intvars, terms)
+        self.charge(terms, "store", self._is_complex(s.value))
         alias = self.array(s.array)
         size = self._size_code(s.array, alias)
         j = f"_j{self.uid()}"
@@ -889,19 +790,13 @@ class _FuncCodegen:
             f"if not (0 <= {j} < {size}): "
             f"_oob({s.array!r}, {size}, {j}, 1)",
             f"{alias}[{j}] = {v}",
-        ], static, counts
+        ]
 
-    def _vecstore_stmt(self, s: ir.VecStore, intvars):
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
-        base = self.int_code(s.base, intvars, static, counts)
-        vcode, vst, vcn = self.expr(s.value, intvars)
-        _merge(static, vst)
-        _merge(counts, vcn)
+    def _vecstore_stmt(self, s: ir.VecStore, intvars, terms):
+        base = self.int_code(s.base, intvars, terms)
+        vcode = self.expr(s.value, intvars, terms)
         if s.instruction is not None:
-            _merge(static,
-                   {_INTR: self.cost.intrinsic(s.instruction.cycles)})
-            _merge(counts, {s.instruction.name: 1})
+            self.charge(terms, "intrinsic", s.instruction.name)
         lanes = s.value.type.lanes
         alias = self.array(s.array)
         size = self._size_code(s.array, alias)
@@ -913,14 +808,11 @@ class _FuncCodegen:
             f"if not (0 <= {j} <= {size} - {lanes}): "
             f"_oob({s.array!r}, {size}, {j}, {lanes})",
             f"{alias}[{j}:{j} + {lanes}] = {v}",
-        ], static, counts
+        ]
 
-    def _for_stmt(self, s: ir.ForRange, intvars):
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
-        start = self.int_code(s.start, intvars, static, counts)
-        stop = self.int_code(s.stop, intvars, static, counts)
-        linecost = {s.line: sum(static.values())}
+    def _for_stmt(self, s: ir.ForRange, intvars, terms):
+        start = self.int_code(s.start, intvars, terms)
+        stop = self.int_code(s.stop, intvars, terms)
 
         body_vars = _assigned_names(s.body)
         inner = set(intvars) - body_vars
@@ -930,36 +822,30 @@ class _FuncCodegen:
         if not loop_var_reassigned:
             inner.add(s.var)
 
-        body_lines, bstatic, bcounts, blc = self.block(s.body, inner)
-        _merge(bstatic, {_BRANCH: self.cost.branch()})
-        # Loop-control overhead (one branch per iteration) attributes
-        # to the loop's own line.
-        _merge(blc, {s.line: self.cost.branch()})
+        body_lines, body = self.block(s.body, inner)
+        # Loop control (one branch per iteration) belongs to the loop's
+        # own line.
+        body[s.line, ("branch",)] += 1
 
         iterations = f"range({start}, {stop}, {s.step})"
         lines = []
         flush = []
         if any(_can_abrupt(st) for st in s.body):
             # An iteration may stop early: charge each one as it starts.
-            flush = self.flush_lines(bstatic, bcounts, blc)
+            flush = self.flush(body)
         elif isinstance(s.start, ir.Const) and isinstance(s.stop, ir.Const):
             # Every iteration charges the same: fold the whole loop into
             # the enclosing group at translate time.
             trip = len(range(int(s.start.value), int(s.stop.value),
                              s.step))
             if trip:
-                for charges, total in ((bstatic, static), (bcounts, counts),
-                                       (blc, linecost)):
-                    _merge(total, {key: trip * value
-                                   for key, value in charges.items()})
+                for key, count in body.items():
+                    terms[key] += trip * count
         else:
             # Bounds known on entry: charge trip count x one iteration.
-            iterations, trip = f"_r{self.uid()}", f"_n{self.uid()}"
-            lines = [f"{iterations} = range({start}, {stop}, {s.step})",
-                     f"if {iterations}:",
-                     f"    {trip} = len({iterations})"]
-            lines.extend("    " + l for l in self.flush_lines(
-                bstatic, bcounts, blc, times=trip))
+            iterations = f"_r{self.uid()}"
+            lines = [f"{iterations} = range({start}, {stop}, {s.step})"]
+            lines += self.flush(body, times=f"len({iterations})")
 
         if s.var in self.dict_scalars:
             lv = f"_i{self.uid()}"
@@ -978,39 +864,36 @@ class _FuncCodegen:
         intvars.difference_update(body_vars)
         if was_int and not loop_var_reassigned:
             intvars.add(s.var)
-        return lines, static, counts, linecost
+        return lines
 
     def _while_stmt(self, s: ir.While, intvars):
         body_vars = _assigned_names(s.body)
         intvars.difference_update(body_vars)
-        ccode, cstatic, ccounts = self.expr(s.condition, intvars)
-        _merge(cstatic, {_BRANCH: self.cost.branch()})
-        # Condition check (including the final failing one) belongs to
-        # the while statement's line.
-        check_flush = self.flush_lines(
-            cstatic, ccounts, {s.line: sum(cstatic.values())})
+        # Each condition check (including the final failing one) is a
+        # point on the while statement's line.
+        check = Counter()
+        ccode = self.expr(s.condition, intvars, check)
+        self.charge(check, "branch")
+        check_flush = self.flush(check)
 
-        body_lines, bstatic, bcounts, blc = self.block(s.body,
-                                                       set(intvars))
-        body_flush = self.flush_lines(bstatic, bcounts, blc)
+        body_lines, body = self.block(s.body, set(intvars))
 
         suite = ["_t[0] += 1", "if _t[0] > _MS: _stepfail()"]
         suite += check_flush
         suite.append(f"if not ({ccode}): break")
-        suite += body_flush + body_lines
-        lines = ["while True:"] + ["    " + l for l in suite]
-        return lines, {}, {}
+        suite += self.flush(body) + body_lines
+        return ["while True:"] + ["    " + l for l in suite]
 
-    def _if_stmt(self, s: ir.If, intvars):
-        ccode, static, counts = self.expr(s.condition, intvars)
-        _merge(static, {_BRANCH: self.cost.branch()})
+    def _if_stmt(self, s: ir.If, intvars, terms):
+        ccode = self.expr(s.condition, intvars, terms)
+        self.charge(terms, "branch")
 
         then_vars = set(intvars)
-        then_lines, tst, tcn, tlc = self.block(s.then_body, then_vars)
-        then_suite = self.flush_lines(tst, tcn, tlc) + then_lines
+        then_lines, then_terms = self.block(s.then_body, then_vars)
+        then_suite = self.flush(then_terms) + then_lines
         else_vars = set(intvars)
-        else_lines, est, ecn, elc = self.block(s.else_body, else_vars)
-        else_suite = self.flush_lines(est, ecn, elc) + else_lines
+        else_lines, else_terms = self.block(s.else_body, else_vars)
+        else_suite = self.flush(else_terms) + else_lines
 
         lines = [f"if {ccode}:"]
         lines.extend("    " + l for l in (then_suite or ["pass"]))
@@ -1018,20 +901,16 @@ class _FuncCodegen:
             lines.append("else:")
             lines.extend("    " + l for l in else_suite)
         intvars.intersection_update(then_vars & else_vars)
-        return lines, static, counts
+        return lines
 
-    def _call_stmt(self, s: ir.Call, intvars):
-        static: dict[int, int] = {_CALL: self.cost.call()}
-        counts: dict[str, int] = {}
+    def _call_stmt(self, s: ir.Call, intvars, terms):
+        self.charge(terms, "call")
         parts = []
         for a in s.args:
             if isinstance(a, str):
                 parts.append(f"{self.array(a)}.copy()")
             else:
-                code, ast, acn = self.expr(a, intvars)
-                _merge(static, ast)
-                _merge(counts, acn)
-                parts.append(code)
+                parts.append(self.expr(a, intvars, terms))
         program = self.program
         callee = s.callee
         results = list(s.results)
@@ -1052,17 +931,10 @@ class _FuncCodegen:
         helper = self.bind("_call", invoke)
         tuple_code = "(" + "".join(p + ", " for p in parts) + ")"
         intvars.difference_update(results)
-        return [f"{helper}(S, A, {tuple_code})"], static, counts
+        return [f"{helper}(S, A, {tuple_code})"]
 
-    def _emit_stmt(self, s: ir.Emit, intvars):
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
-        parts = []
-        for a in s.args:
-            code, ast, acn = self.expr(a, intvars)
-            _merge(static, ast)
-            _merge(counts, acn)
-            parts.append(code)
+    def _emit_stmt(self, s: ir.Emit, intvars, terms):
+        parts = [self.expr(a, intvars, terms) for a in s.args]
         stdout = self.program.stdout
         fmt = s.format
 
@@ -1070,75 +942,56 @@ class _FuncCodegen:
             stdout.append(format_emit(fmt, list(values)))
         helper = self.bind("_emit", emit)
         tuple_code = "(" + "".join(p + ", " for p in parts) + ")"
-        return [f"{helper}({tuple_code})"], static, counts
+        return [f"{helper}({tuple_code})"]
 
-    def _copy_stmt(self, s: ir.CopyArray):
+    def _copy_stmt(self, s: ir.CopyArray, terms):
         dst_t = self._array_info(s.dst)
         src_t = self._array_info(s.src)
         dalias = self.array(s.dst)
         salias = self.array(s.src)
         if dst_t is not None and src_t is not None:
             count = min(dst_t.numel, src_t.numel)
-            elem_kind = ScalarKind.C128 if dst_t.elem.kind.is_complex \
-                else ScalarKind.F64
-            cost = count * self.cost.copy_element(ScalarType(elem_kind))
-            return ([f"{dalias}[:{count}] = {salias}[:{count}]"],
-                    {_MEM: cost}, {})
-        # Shapes unknown at compile time: fall back to a dynamic helper.
-        acc = self.program.acc
-        cost_model = self.cost
-        line_cycles = self.program.line_cycles if self.profile else None
-        line = self._cur_line
-
-        def copy(dst, src):
-            count = min(dst.size, src.size)
-            elem_kind = ScalarKind.C128 if np.iscomplexobj(dst) \
-                else ScalarKind.F64
-            cost = count * cost_model.copy_element(ScalarType(elem_kind))
-            acc[_MEM] += cost
-            if line_cycles is not None:
-                line_cycles[line] = line_cycles.get(line, 0) + cost
-            dst[:count] = src[:count]
-        helper = self.bind("_cpy", copy)
-        return [f"{helper}({dalias}, {salias})"], {}, {}
+            if count:
+                terms[s.line, ("copy", dst_t.elem.kind.is_complex)] += count
+            return [f"{dalias}[:{count}] = {salias}[:{count}]"]
+        # Shapes unknown at compile time: the element count is known
+        # only at run time, and so is the element kind.
+        real, cplx = (self.program.point({(s.line, ("copy", is_complex)): 1})
+                      for is_complex in (False, True))
+        n = f"_n{self.uid()}"
+        return [f"{n} = min({dalias}.size, {salias}.size)",
+                f"_p[{cplx} if {dalias}.dtype.kind == 'c' else {real}] "
+                f"+= {n}",
+                f"{dalias}[:{n}] = {salias}[:{n}]"]
 
     # -- blocks and function assembly ----------------------------------
 
     def block(self, body: list[ir.Stmt], intvars: set[str]):
-        """Emit a statement list.
+        """Emit a statement list; return its lines and the terms of its
+        leading statement group.
 
-        Static charges of the leading statement group (everything up to
-        and including the first statement that can abort the block) are
-        hoisted to the caller; later groups flush inline, so a Break /
-        Continue / Return mid-block never over-charges.  When line
-        profiling is on, each group also carries a per-source-line
-        breakdown of the same static cycles.
+        The leading group (everything up to and including the first
+        statement that can abort the block) is charged by the caller;
+        each later group is a point of its own, so a Break / Continue /
+        Return mid-block never over-charges.
         """
-        groups: list[tuple[list[str], dict, dict, dict]] = []
-        cur_lines: list[str] = []
-        cur_static: dict[int, int] = {}
-        cur_counts: dict[str, int] = {}
-        cur_lc: dict[int, int] = {}
+        groups: list[tuple[list[str], Counter]] = []
+        lines: list[str] = []
+        terms = Counter()
         for s in body:
-            slines, sst, scn, slc = self.stmt(s, intvars)
-            _merge(cur_static, sst)
-            _merge(cur_counts, scn)
-            _merge(cur_lc, slc)
-            cur_lines.extend(slines)
+            lines.extend(self.stmt(s, intvars, terms))
             if _can_abrupt(s):
-                groups.append((cur_lines, cur_static, cur_counts,
-                               cur_lc))
-                cur_lines, cur_static, cur_counts, cur_lc = \
-                    [], {}, {}, {}
-        if cur_lines or cur_static or cur_counts:
-            groups.append((cur_lines, cur_static, cur_counts, cur_lc))
+                groups.append((lines, terms))
+                lines, terms = [], Counter()
+        if lines or terms:
+            groups.append((lines, terms))
         if not groups:
-            return [], {}, {}, {}
+            return [], Counter()
         lines = list(groups[0][0])
-        for glines, gst, gcn, glc in groups[1:]:
-            lines.extend(self.flush_lines(gst, gcn, glc))
+        for glines, gterms in groups[1:]:
+            lines.extend(self.flush(gterms))
             lines.extend(glines)
-        return lines, groups[0][1], groups[0][2], groups[0][3]
+        return lines, groups[0][1]
 
     def epilogue_lines(self) -> list[str]:
         """Write scalar outputs held in locals back to S before leaving."""
@@ -1159,11 +1012,8 @@ class _FuncCodegen:
         intvars = {p.name for p in func.params
                    if isinstance(p.type, ScalarType)
                    and p.type.kind.is_integer}
-        body_lines, static, counts, linecost = self.block(func.body,
-                                                          intvars)
-        body_lines = self.flush_lines(static, counts, linecost) + \
-            body_lines
-        body_lines += self.epilogue_lines()
+        body_lines, terms = self.block(func.body, intvars)
+        body_lines = self.flush(terms) + body_lines + self.epilogue_lines()
 
         prologue = []
         for param in func.params:
@@ -1214,7 +1064,11 @@ class CompiledFunction:
                     out.type.numel, dtype=numpy_dtype(out.type.elem.kind))
 
         try:
-            self.fn(scalars, arrays)
+            # A value past single range rounds to +-Inf when narrowed
+            # into a single scalar or array element, as the emitted C's
+            # float stores do; numpy's cast warning is not an error.
+            with np.errstate(over="ignore"):
+                self.fn(scalars, arrays)
         except SimulationError:
             raise
         except KeyError as exc:
@@ -1241,53 +1095,59 @@ class CompiledFunction:
 
 
 class CompiledProgram:
-    """A whole IRModule translated once, reusable across many runs."""
+    """A whole IRModule translated once, reusable across many runs.
+
+    The translation reads no processor: it records the cost terms of
+    every charge point in :attr:`points`, and a run only counts how
+    often each point executes.  ``processor`` prices each point once,
+    here, and :meth:`run` turns the counts into a report.
+    """
 
     def __init__(self, module: ir.IRModule,
                  processor: ProcessorDescription,
-                 max_steps: int = 200_000_000,
-                 profile_lines: bool = False):
+                 max_steps: int = 200_000_000):
         self.module = module
         self.processor = processor
-        self.cost = CostModel(processor)
         self.max_steps = max_steps
-        self.profile_lines = profile_lines
-        self.acc: list[int] = [0] * len(_CATEGORIES)
-        self.icounts: dict[str, int] = {}
-        self.line_cycles: dict[int, int] = {}
+        #: Cost terms of each charge point: ``(source line, term)`` ->
+        #: occurrences per execution of the point.
+        self.points: list[dict[tuple[int, tuple], int]] = []
+        #: Executions of each charge point in the current run.
+        self.counts: list[int] = []
         self.steps: list[int] = [0]
         self.stdout: list[str] = []
         self.compiled: dict[str, CompiledFunction] = {}
         for func in module.functions:
             self.compiled[func.name] = CompiledFunction(self, func)
+        cost = CostModel(processor)
+        self.priced = [cost.price(terms) for terms in self.points]
+
+    def point(self, terms: dict) -> int:
+        """Register a charge point with ``terms``; return its index."""
+        self.points.append(dict(terms))
+        self.counts.append(0)
+        return len(self.points) - 1
 
     def _reset(self) -> None:
-        acc = self.acc
-        for index in range(len(acc)):
-            acc[index] = 0
-        self.icounts.clear()
-        self.line_cycles.clear()
+        self.counts[:] = [0] * len(self.counts)
         self.steps[0] = 0
         self.stdout.clear()
 
-    def run(self, args: list[object],
-            entry: str | None = None) -> ExecutionResult:
+    def run(self, args: list[object], entry: str | None = None,
+            hotspots: bool = False) -> ExecutionResult:
+        """One run; ``hotspots`` also prices its per-line cycles."""
         self._reset()
         name = entry or self.module.entry
         cf = self.compiled.get(name)
         if cf is None:
             raise SimulationError(f"no function {name!r}")
         outputs = cf.call(list(args))
-        report = CycleReport(
-            total=sum(self.acc),
-            by_category={_CATEGORIES[i]: v
-                         for i, v in enumerate(self.acc) if v},
-            instruction_counts=dict(self.icounts))
-        line_cycles = dict(self.line_cycles) if self.profile_lines \
-            else None
-        return ExecutionResult(outputs=outputs, report=report,
-                               stdout="".join(self.stdout),
-                               line_cycles=line_cycles)
+        priced = self.priced
+        charged = [(n, priced[k]) for k, n in enumerate(self.counts) if n]
+        return ExecutionResult(
+            outputs=outputs, report=cycle_report(charged),
+            stdout="".join(self.stdout),
+            line_cycles=line_cycles(charged) if hotspots else None)
 
     def dump_source(self, name: str | None = None) -> str:
         """Generated Python of one function (debugging aid)."""

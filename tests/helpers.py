@@ -10,6 +10,7 @@ Most correctness tests in this suite reduce to a call to it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import shutil
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.asip.model import CostTable, ProcessorDescription
 from repro.compiler import CompilerOptions, compile_source
 from repro.frontend.parser import parse
 from repro.fuzz.generator import GeneratedProgram
@@ -27,6 +29,19 @@ from repro.mlab.interp import MatlabInterpreter
 HAVE_GCC = shutil.which("gcc") is not None
 
 requires_gcc = pytest.mark.skipif(not HAVE_GCC, reason="gcc not available")
+
+
+def cost_variant(processor: ProcessorDescription) -> ProcessorDescription:
+    """``processor`` with every scalar cost and every instruction's
+    cycles raised, and nothing else changed."""
+    costs = processor.costs
+    return ProcessorDescription(
+        name=processor.name, description=processor.description,
+        costs=dataclasses.replace(costs, **{
+            f.name: getattr(costs, f.name) + 1 + index
+            for index, f in enumerate(dataclasses.fields(CostTable))}),
+        instructions=[dataclasses.replace(instr, cycles=instr.cycles + 2)
+                      for instr in processor.instructions])
 
 
 def golden_outputs(source: str, entry: str, inputs: list, nargout: int = 1):

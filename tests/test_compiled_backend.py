@@ -12,6 +12,7 @@ whose shape spaces are pinned in full.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (as_program, assert_cycles_pinned,
-                     assert_outputs_close, golden_outputs)
+                     assert_outputs_close, cost_variant, golden_outputs)
+from repro.asip.isa_library import load_processor
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.errors import SimulationError
 from repro.fuzz.generator import GeneratedProgram
@@ -362,7 +364,9 @@ def test_zero_trip_runtime_loop_leaves_no_counter_key():
         assert 0 not in skipped.report.instruction_counts.values()
         assert 0 not in skipped.report.by_category.values()
     # The loop is charged once, ahead of it, scaled by its trip count.
-    assert not any(line.startswith("_a[") for line in _loop_suites(result))
+    assert not any(line.startswith("_p[") for line in _loop_suites(result))
+    source = result.compiled_program().dump_source()
+    assert re.search(r"^ *_p\[\d+\] \+= len\(_r\d+\)$", source, re.M), source
 
 
 _LOOP_WITH_BREAK = """
@@ -386,7 +390,8 @@ def test_loop_with_break_charges_each_iteration():
         [(result, _)] = check_case(f"loop_with_break_{index}",
                                    ("optimized",), hotspots=True)
     # An iteration may stop early, so none is charged ahead of time.
-    assert any(line.startswith("_a[") for line in _loop_suites(result))
+    assert any(re.fullmatch(r"_p\[\d+\] \+= 1", line)
+               for line in _loop_suites(result))
 
 
 _case("constant_nest", """
@@ -406,9 +411,9 @@ def test_constant_nest_is_one_flush_with_exact_line_cycles():
         assert sum(run.line_cycles.values()) == run.report.total
         source = result.compiled_program().dump_source()
         charged = [line for line in source.splitlines()
-                   if line.lstrip().startswith(("_a[", "_ic["))]
-        assert charged and all(line.startswith("    _")
-                               for line in charged), source
+                   if line.lstrip().startswith("_p[")]
+        assert len(charged) == 1 and charged[0].startswith("    _"), \
+            source
 
 
 _VECTOR_SHIFTS = [
@@ -434,6 +439,49 @@ def test_overlapping_vector_shift_parity(statement):
     assert any(isinstance(stmt, ir.VecStore) for stmt in
                ir.walk_statements(result.module.function(
                    result.module.entry).body))
+
+
+# ----------------------------------------------------------------------
+# Profile, then price
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_translation_reads_no_processor(kernel):
+    # Two processors that differ only in cycle costs lower to the same
+    # IR and translate to the same Python; only their reports differ.
+    program, _ = CASES[f"kernel_{kernel}"]
+    processor = load_processor("vliw_simd_dsp")
+    results = [compile_source(program.source, args=program.arg_specs(),
+                              entry=program.entry, processor=target,
+                              use_cache=False)
+               for target in (processor, cost_variant(processor))]
+    first, second = results
+    assert first.ir_dump() == second.ir_dump()
+    for func in first.module.functions:
+        assert first.compiled_program().dump_source(func.name) == \
+            second.compiled_program().dump_source(func.name)
+    runs = [result.simulate(program.inputs()) for result in results]
+    assert runs[0].report.total < runs[1].report.total
+    assert runs[0].report.instruction_counts == \
+        runs[1].report.instruction_counts
+
+
+def test_hotspot_run_shares_the_translation():
+    program, _ = CASES["sum_of_squares"]
+    result = _compile(program, "vliw_simd_dsp", "optimized")
+    translated = result.compiled_program()
+    plain = result.simulate(program.inputs())
+    profiled = result.simulate(program.inputs(), hotspots=True)
+    assert result.compiled_program() is translated
+    assert plain.line_cycles is None
+    assert sum(profiled.line_cycles.values()) == plain.report.total
+
+
+def test_instruction_counts_are_sorted_by_name():
+    [(_, run)] = check_case("kernel_fir", ("optimized",))
+    names = list(run.report.instruction_counts)
+    assert len(names) > 1 and names == sorted(names)
 
 
 # ----------------------------------------------------------------------

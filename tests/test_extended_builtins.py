@@ -7,10 +7,10 @@ simulator (baseline and optimized) vs gcc on selected cases.
 import numpy as np
 import pytest
 
-from repro.compiler import arg
-from repro.errors import SemanticError
+from repro.compiler import CompilerOptions, arg, compile_source
+from repro.errors import InterpreterError, SemanticError
 
-from helpers import check_program
+from helpers import check_program, golden_outputs
 
 RNG = np.random.default_rng(77)
 
@@ -58,6 +58,33 @@ def test_var_rejects_complex():
         check_program("function v = f(z)\nv = var(z);\nend",
                       [arg((1, 4), complex=True)],
                       [np.zeros((1, 4), dtype=complex)])
+
+
+@pytest.mark.parametrize("source, shape", [
+    ("function y = f(z)\ny = complex(z);\nend", (1, 1)),
+    ("function y = f(z)\ny = complex(z .* 2) - z;\nend", (1, 5)),
+], ids=["scalar", "array"])
+def test_complex_of_complex_input_keeps_it(source, shape):
+    # Both sources return ``z`` itself.
+    z = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+    for options in (CompilerOptions(), CompilerOptions.baseline()):
+        result = compile_source(source, args=[arg(shape, complex=True)],
+                                options=options, use_cache=False)
+        [simulated] = result.simulate([z]).outputs
+        np.testing.assert_allclose(np.atleast_2d(simulated), z)
+    [golden] = golden_outputs(source, "f", [z])
+    np.testing.assert_allclose(golden, z)
+
+
+def test_complex_of_two_args_rejects_complex_operand():
+    z = np.array([[1.0 + 2.0j]])
+    for source in ("function y = f(z)\ny = complex(z, 1);\nend",
+                   "function y = f(z)\ny = complex(1, z);\nend"):
+        with pytest.raises(InterpreterError, match="must be real"):
+            golden_outputs(source, "f", [z])
+        with pytest.raises(SemanticError, match="must be real"):
+            compile_source(source, args=[arg(complex=True)],
+                           use_cache=False)
 
 
 def test_any_all_semantics():

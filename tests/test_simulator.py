@@ -6,11 +6,7 @@ import pytest
 from repro.asip.isa_library import generic_scalar_dsp, vliw_simd_dsp
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.errors import SimulationError
-from repro.ir.types import ScalarKind, ScalarType
 from repro.sim.cost import CostModel
-
-F64 = ScalarType(ScalarKind.F64)
-C128 = ScalarType(ScalarKind.C128)
 
 
 def run_program(source, args, inputs, processor=None, options=None):
@@ -209,8 +205,10 @@ end
 
 def test_complex_multiply_costs_more_than_real():
     cost = CostModel(generic_scalar_dsp())
-    assert cost.binop("mul", C128) > cost.binop("mul", F64)
-    assert cost.binop("add", C128) == 2 * cost.binop("add", F64)
+    assert cost.cycles(("binop", "mul", True)) > \
+        cost.cycles(("binop", "mul", False))
+    assert cost.cycles(("binop", "add", True)) == \
+        2 * cost.cycles(("binop", "add", False))
 
 
 def test_report_breakdown_sums_to_total():

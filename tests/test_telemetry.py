@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.observe.events import format_events
@@ -68,6 +68,9 @@ def test_layout_mismatch_merge_is_an_error():
 @given(st.lists(st.integers(min_value=0, max_value=2 * 10 ** 11),
                 min_size=1, max_size=200),
        st.sampled_from([0.50, 0.90, 0.99]))
+# Interpolating inside the overflow bucket once truncated onto its
+# lower bound, which belongs to the last finite bucket.
+@example(values=[0, 100_000_000_001, 100_000_000_001], q=0.5)
 def test_percentile_matches_numpy_bucket(values, q):
     """The rank-interpolated estimate lands in the same bucket as the
     exact nearest-rank quantile numpy computes from the raw samples."""
