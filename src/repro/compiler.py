@@ -185,6 +185,11 @@ class CompilationResult:
                 (``ExecutionResult.line_cycles`` / ``hotspots()``); the
                 native tier does not support profiling.
         """
+        session = obs_trace.current()
+        if backend == "native" and not hotspots and not session.enabled:
+            # The warm native call: the program's stub does every other
+            # check.
+            return self.native_program().run(args)
         if backend not in SIM_BACKENDS:
             raise ValueError(
                 f"unknown simulator backend {backend!r}; "
@@ -193,7 +198,6 @@ class CompilationResult:
             raise ValueError(
                 "the native backend performs no cycle accounting; "
                 "use backend='compiled' for hotspots")
-        session = obs_trace.current()
         if not session.enabled:
             return self._execute(args, backend, hotspots)
         with session.span("simulate", "sim", backend=backend,

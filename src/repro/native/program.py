@@ -1,12 +1,22 @@
 """In-process execution of one compiled module through its ``.so``.
 
-A :class:`NativeProgram` owns the loaded shared object plus the
-marshalling plan for the entry signature.  ``run`` marshals arguments
-into flat column-major element buffers (zero-copy views whenever the
-caller's numpy array already has the right dtype — the common case for
-benchmark/fuzz inputs), dispatches through the fixed-ABI wrapper, and
-returns output buffers as reshaped numpy *views* (no copy) in MATLAB
-shape.
+A :class:`NativeProgram` owns the loaded shared object and one
+generated call stub for the entry signature.  The stub is straight-line
+Python written once per program from its
+:class:`~repro.native.abi.CallPlan` (compiled with ``compile``/``exec``,
+the idiom of :mod:`repro.sim.compiled`; its text is
+``NativeProgram.stub_source``).
+One call unpacks the arguments, marshals each into a flat column-major
+element buffer (a zero-copy view whenever the caller's numpy array
+already has the slot's dtype and layout — the common case for
+benchmark/fuzz inputs), allocates fresh output buffers, stores each
+buffer's address into the pointer arrays by index (a ctypes array built
+empty and filled by index costs about a third of one built from
+constructor arguments), dispatches through the fixed-ABI wrapper and
+returns the output buffers as reshaped numpy *views* (no copy) in
+MATLAB shape.  Every slot's dtype, element count, shape and scalar type
+is a literal or a bound name in the stub, so no per-call work walks the
+plan.
 
 No cycle accounting happens here: the returned
 :class:`~repro.sim.machine.ExecutionResult` carries an empty
@@ -24,84 +34,119 @@ import numpy as np
 
 from repro.errors import BackendError, SimulationError
 from repro.ir.types import ScalarKind, ScalarType
-from repro.native.abi import (WRAPPER_SYMBOL, Slot, build_plan,
+from repro.native.abi import (WRAPPER_SYMBOL, CallPlan, Slot, build_plan,
                               native_source)
 from repro.native.builder import default_cache
 from repro.observe import trace as obs_trace
 from repro.sim.cost import CycleReport
-from repro.sim.machine import ExecutionResult, coerce_scalar
+from repro.sim.machine import (PYTHON_SCALAR_TYPES, ExecutionResult,
+                                coerce_scalar)
+
+#: Names every stub reads besides its program's own ``fn``, ``IP``
+#: (input pointer-array type), ``OP`` (output pointer-array type), the
+#: slot dtypes (bound by ``dtype.name``) and the scalar types of scalar
+#: inputs (bound by ``ScalarKind.name``).  ``c_char.from_buffer`` is
+#: about three times cheaper than ``ndarray.ctypes.data`` but needs a
+#: writable, non-empty buffer.
+_STUB_GLOBALS = {
+    "asarray": np.asarray,
+    "array": np.array,
+    "zeros": np.zeros,
+    "bool_": np.bool_,
+    "addressof": ctypes.addressof,
+    "from_buffer": ctypes.c_char.from_buffer,
+    "coerce_scalar": coerce_scalar,
+    "SimulationError": SimulationError,
+    "ExecutionResult": ExecutionResult,
+    "CycleReport": CycleReport,
+    "current": obs_trace.current,
+}
 
 
-def _array_input(slot: Slot):
-    """The marshaller of one array slot: the flat column-major element
-    buffer for an argument (a view when the caller's array already has
-    the slot's dtype and column-major layout)."""
-    dtype, numel, name = slot.dtype, slot.numel, slot.name
-
-    def marshal(value) -> np.ndarray:
-        buf = np.asarray(value)
-        if buf.dtype != dtype:
-            buf = buf.astype(dtype)
-        buf = buf.ravel(order="F")
-        if buf.size != numel:
-            raise SimulationError(
-                f"argument {name!r}: expected {numel} "
-                f"elements, got {buf.size}")
-        return buf
-    return marshal
-
-
-def _scalar_input(slot: Slot):
-    """The marshaller of one scalar slot: a one-element buffer holding
-    the argument coerced the way the simulators coerce it."""
-    dtype, scalar_type = slot.dtype, ScalarType(slot.kind)
-
-    def marshal(value) -> np.ndarray:
-        return np.array([coerce_scalar(value, scalar_type)], dtype=dtype)
-    return marshal
-
-
-def _scalar_output(kind: ScalarKind):
-    """The Python type of a scalar output (the simulators' type)."""
-    if kind.is_complex:
-        return complex
-    if kind is ScalarKind.BOOL:
-        return bool
-    if kind.is_integer:
-        return int
-    return float
-
-
-def _output_converter(slot: Slot):
-    """The function turning one filled output buffer into the value the
-    simulators return for ``slot``."""
+def _input_lines(index: int, slot: Slot) -> list[str]:
+    """The lines marshalling argument ``a<index>`` into buffer
+    ``b<index>`` and storing its address in ``ip[<index>]``."""
+    arg, buf, dtype = f"a{index}", f"b{index}", slot.dtype.name
     if not slot.is_array:
-        to_python = _scalar_output(slot.kind)
-        return lambda buf: to_python(buf.item())
-    shape = (slot.rows, slot.cols)
+        # A fresh 0-d buffer of one element: writable and non-empty.
+        return [f"{buf} = array(coerce_scalar({arg}, {slot.kind.name}), "
+                f"{dtype})",
+                f"ip[{index}] = addressof(from_buffer({buf}))"]
+    error = f"argument {slot.name!r}: expected {slot.numel} elements, got "
+    lines = [
+        f"{buf} = asarray({arg}).astype({dtype}, copy=False).ravel('F')",
+        f"if {buf}.size != {slot.numel}:",
+        f"    raise SimulationError({error!r} + str({buf}.size))",
+    ]
+    if not slot.numel:
+        return lines + [f"ip[{index}] = {buf}.ctypes.data"]
+    # A view of the caller's array may be read-only.
+    return lines + [
+        "try:",
+        f"    ip[{index}] = addressof(from_buffer({buf}))",
+        "except (TypeError, ValueError):",
+        f"    ip[{index}] = {buf}.ctypes.data",
+    ]
+
+
+def _output_lines(index: int, slot: Slot) -> list[str]:
+    """The lines allocating output buffer ``o<index>`` and storing its
+    address in ``op[<index>]``."""
+    buf = f"o{index}"
+    address = f"addressof(from_buffer({buf}))" if slot.numel \
+        else f"{buf}.ctypes.data"
+    return [f"{buf} = zeros({slot.numel}, {slot.dtype.name})",
+            f"op[{index}] = {address}"]
+
+
+def _output_value(index: int, slot: Slot) -> str:
+    """The expression turning filled buffer ``o<index>`` into the value
+    the simulators return for ``slot``."""
+    buf = f"o{index}"
+    if not slot.is_array:
+        return f"{PYTHON_SCALAR_TYPES[slot.kind].__name__}({buf}.item())"
+    view = f"{buf}.reshape(({slot.rows}, {slot.cols}), order='F')"
     if slot.kind is ScalarKind.BOOL:
-        return lambda buf: buf.reshape(shape, order="F").astype(np.bool_)
-    return lambda buf: buf.reshape(shape, order="F")
+        return f"{view}.astype(bool_)"
+    return view
 
 
-def _address(buf: np.ndarray) -> int:
-    """Address of ``buf``'s first element.  ``c_char.from_buffer`` is
-    about three times cheaper than ``buf.ctypes.data`` but needs a
-    writable, non-empty buffer."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(buf))
-    except (TypeError, ValueError):
-        return buf.ctypes.data
+def stub_source(plan: CallPlan) -> str:
+    """The Python text of ``plan``'s call stub, ``run(args)``: one
+    straight-line function with no loop over the slots."""
+    count = len(plan.params)
+    arity = f"{plan.entry}: expected {count} arguments, got "
+    names = ", ".join(f"a{index}" for index in range(count))
+    lines = [
+        "try:",
+        f"    [{names}] = args",
+        "except ValueError:",
+        f"    raise SimulationError({arity!r} + str(len(args))) from None",
+        "ip = IP()",
+    ]
+    for index, slot in enumerate(plan.params):
+        lines += _input_lines(index, slot)
+    lines.append("op = OP()")
+    for index, slot in enumerate(plan.outputs):
+        lines += _output_lines(index, slot)
+    values = ", ".join(_output_value(index, slot)
+                       for index, slot in enumerate(plan.outputs))
+    lines += [
+        "fn(ip, op)",
+        "current().counter('native.calls')",
+        f"return ExecutionResult([{values}], CycleReport())",
+    ]
+    return "def run(args):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 class NativeProgram:
     """Compile-once / call-hot executor for one module's entry point.
 
-    Everything that depends only on the entry signature (per-slot
-    dtypes, marshallers, output converters and the ctypes pointer-array
-    types) is planned once here, so ``run`` does only per-call work.
-    ``run`` keeps no state between calls: it is reentrant, and the
-    wrapper call releases the GIL.
+    ``run(args)`` executes the entry point on ``args`` in-process.  It
+    is the call stub generated here from the entry signature (its text
+    is :attr:`stub_source`), so a call does only per-call work.  The
+    stub keeps no state between calls: it is reentrant, and the wrapper
+    call releases the GIL.
     """
 
     def __init__(self, module, processor, cc: str = "gcc", cache=None):
@@ -114,39 +159,20 @@ class NativeProgram:
         self.source = native_source(module, processor)
         cache = cache if cache is not None else default_cache()
         lib = cache.load(self.source, cc=cc)
-        self._fn = getattr(lib, WRAPPER_SYMBOL)
-        self._fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
-                             ctypes.POINTER(ctypes.c_void_p)]
-        self._fn.restype = None
-        self._marshallers = tuple(
-            _array_input(slot) if slot.is_array else _scalar_input(slot)
-            for slot in plan.params)
-        self._out_buffers = tuple((slot.numel, slot.dtype)
-                                  for slot in plan.outputs)
-        self._converters = tuple(_output_converter(slot)
-                                 for slot in plan.outputs)
-        self._in_ptrs = ctypes.c_void_p * max(1, len(plan.params))
-        self._out_ptrs = ctypes.c_void_p * max(1, len(plan.outputs))
-
-    def run(self, args: list[object]) -> ExecutionResult:
-        """Execute the entry point on ``args`` in-process."""
-        marshallers = self._marshallers
-        if len(args) != len(marshallers):
-            raise SimulationError(
-                f"{self.plan.entry}: expected {len(marshallers)} "
-                f"arguments, got {len(args)}")
-        in_bufs = [marshal(value)
-                   for marshal, value in zip(marshallers, args)]
-        out_bufs = [np.zeros(numel, dtype)
-                    for numel, dtype in self._out_buffers]
-        in_ptrs = self._in_ptrs()
-        for index, buf in enumerate(in_bufs):
-            in_ptrs[index] = _address(buf)
-        out_ptrs = self._out_ptrs()
-        for index, buf in enumerate(out_bufs):
-            out_ptrs[index] = _address(buf)
-        self._fn(in_ptrs, out_ptrs)
-        outputs = [convert(buf)
-                   for convert, buf in zip(self._converters, out_bufs)]
-        obs_trace.current().counter("native.calls")
-        return ExecutionResult(outputs=outputs, report=CycleReport())
+        fn = getattr(lib, WRAPPER_SYMBOL)
+        fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
+                       ctypes.POINTER(ctypes.c_void_p)]
+        fn.restype = None
+        namespace = dict(
+            _STUB_GLOBALS, fn=fn,
+            IP=ctypes.c_void_p * max(1, len(plan.params)),
+            OP=ctypes.c_void_p * max(1, len(plan.outputs)))
+        for slot in plan.params + plan.outputs:
+            namespace[slot.dtype.name] = slot.dtype
+        for slot in plan.params:
+            if not slot.is_array:
+                namespace[slot.kind.name] = ScalarType(slot.kind)
+        self.stub_source = stub_source(plan)
+        exec(compile(self.stub_source, f"<native stub {plan.entry}>",
+                     "exec"), namespace)
+        self.run = namespace["run"]

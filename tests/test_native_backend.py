@@ -1,10 +1,14 @@
 """Native execution tier: differential correctness, caching, flags.
 
-Four groups of guards:
+Five groups of guards:
 
 * every E1 benchmark kernel produces golden-identical outputs through
   ``simulate(backend="native")`` (versus the interpreter and the
   compiled-closure simulator);
+* the generated call stub: a matrix of entry signatures returns the
+  compiled simulator's outputs exactly, its error messages are pinned,
+  its source is straight-line, and a raw call of the wrapper symbol
+  fills the same buffers;
 * the fuzz corpus and a 100-seed sweep run clean through the oracle's
   native gcc harness;
 * caching: a second native simulation of the same program performs
@@ -16,6 +20,9 @@ Four groups of guards:
 
 from __future__ import annotations
 
+import ast
+import ctypes
+import re
 import sys
 from pathlib import Path
 
@@ -24,12 +31,14 @@ import pytest
 
 from helpers import assert_cycles_pinned, requires_gcc
 from repro.backend import harness
-from repro.compiler import compile_source
+from repro.compiler import arg, compile_source
 from repro.errors import BackendError, SimulationError
 from repro.fuzz import DifferentialOracle, ProgramGenerator
 from repro.fuzz.reducer import load_reproducer
 from repro.native import builder as native_builder
-from repro.native import NativeCache, NativeProgram, native_cache_key
+from repro.native import (WRAPPER_SYMBOL, NativeCache, NativeProgram,
+                          build_plan, native_cache_key)
+from repro.native.program import stub_source
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import default_workloads, workload_by_name  # noqa: E402
@@ -110,15 +119,22 @@ def test_native_rejects_hotspot_profiling():
 
 @requires_gcc
 def test_native_arity_and_shape_errors():
-    workload = workload_by_name("fir")
-    result = compile_source(workload.source, args=workload.arg_types,
-                            entry=workload.entry)
-    program = result.native_program()
-    with pytest.raises(SimulationError, match="expected 2 arguments"):
-        program.run([workload.inputs()[0]])
-    bad = [np.zeros((1, 7), np.float32), workload.inputs()[1]]
-    with pytest.raises(SimulationError, match="elements"):
-        program.run(bad)
+    workload, _, program = _native_program("fir")
+    entry = program.plan.entry
+    x, h = workload.inputs()
+    for args in ([x], [x, h, h], []):
+        message = f"{entry}: expected 2 arguments, got {len(args)}"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            program.run(args)
+    with pytest.raises(SimulationError,
+                       match=r"^argument 'x': expected 256 elements, "
+                             r"got 7$"):
+        program.run([np.zeros((1, 7), np.float32), h])
+    result, (value, _) = _signature("int32 scalar input")
+    with pytest.raises(SimulationError,
+                       match=r"^expected a scalar argument, got an array "
+                             r"of 2 elements$"):
+        result.native_program().run([value, np.array([1, 2])])
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +181,21 @@ def _reference_buffers(program, args):
     return buffers
 
 
+def _read_only(value):
+    copy = np.array(value)
+    copy.flags.writeable = False
+    return copy
+
+
 @requires_gcc
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_native_input_layouts_marshal_identically(kernel):
     workload, _, program = _native_program(kernel)
     args = list(workload.inputs(0))
     want = program.run(_reference_buffers(program, args)).outputs
-
-    def read_only(value):
-        copy = np.array(value)
-        copy.flags.writeable = False
-        return copy
-
     variants = {
         "as given": args,
-        "read-only": [read_only(v) for v in args],
+        "read-only": [_read_only(v) for v in args],
         "C-ordered": [np.ascontiguousarray(v) for v in args],
         "F-ordered": [np.asfortranarray(v) for v in args],
         # float32 slots fed float64 arrays are cast, not rejected.
@@ -226,6 +242,136 @@ def test_native_program_is_reentrant_across_threads(kernel):
     for thread in threads:
         thread.join()
     assert mismatches == [0, 0]
+
+
+# ---------------------------------------------------------------------------
+# The generated call stub
+
+
+#: Entry signatures that each take one marshalling path of the stub:
+#: name -> (source, argument types, inputs, (param slots, output
+#: slots) as (kind name, is_array) pairs).
+SIGNATURES = {
+    "logical outputs": (
+        "function [m, big] = flags(x)\nm = x > 0.5;\nbig = sum(x) > 2;\n"
+        "end\n",
+        [arg((1, 8))], lambda: [np.linspace(0, 1, 8).reshape(1, 8)],
+        ([("F64", True)], [("BOOL", True), ("BOOL", False)])),
+    "int32 scalar input": (
+        "function y = addk(x, k)\ny = x + k;\nend\n",
+        [arg((2, 3), "int32"), arg(dtype="int32")],
+        lambda: [np.arange(6, dtype=np.int32).reshape(2, 3), 7],
+        ([("I32", True), ("I32", False)], [("I32", True)])),
+    "complex scalars": (
+        "function z = cmul(a, b)\nz = a * b + 1;\nend\n",
+        [arg(complex=True), arg(complex=True)],
+        lambda: [1 + 2j, np.array([[3 - 1j]])],
+        ([("C128", False), ("C128", False)], [("C128", False)])),
+    "single fed double": (
+        "function y = twice(x)\ny = x * 2 + 1;\nend\n",
+        [arg((3, 4), "single")],
+        lambda: [np.arange(12, dtype=np.float64).reshape(3, 4) / 7],
+        ([("F32", True)], [("F32", True)])),
+    # A read-only F-ordered array ravels to a read-only view: its
+    # address comes from the ``ctypes.data`` fallback.
+    "read-only input": (
+        "function y = scale(x)\ny = 3 * x;\nend\n",
+        [arg((4, 3))],
+        lambda: [_read_only(np.asfortranarray(
+            np.arange(12, dtype=np.float64).reshape(4, 3)))],
+        ([("F64", True)], [("F64", True)])),
+}
+
+
+def _signature(case):
+    source, types, inputs, _ = SIGNATURES[case]
+    return compile_source(source, args=types), inputs()
+
+
+@requires_gcc
+@pytest.mark.parametrize("case", sorted(SIGNATURES))
+def test_stub_matches_simulator_across_signatures(case):
+    result, inputs = _signature(case)
+    program = result.native_program()
+    params, outputs = SIGNATURES[case][3]
+    assert [(s.kind.name, s.is_array) for s in program.plan.params] \
+        == params
+    assert [(s.kind.name, s.is_array) for s in program.plan.outputs] \
+        == outputs
+    native = result.simulate(inputs, backend="native").outputs
+    compiled = result.simulate(inputs, backend="compiled").outputs
+    assert [np.shape(value) for value in native] == \
+        [np.shape(value) for value in compiled]
+    assert _same_outputs(native, compiled), f"{case}: {native} != {compiled}"
+
+
+def _plans():
+    for kernel in KERNELS:
+        workload = workload_by_name(kernel)
+        yield kernel, compile_source(workload.source,
+                                     args=workload.arg_types,
+                                     entry=workload.entry)
+    for case in sorted(SIGNATURES):
+        yield case, _signature(case)[0]
+
+
+def test_stub_source_is_straight_line():
+    for name, result in _plans():
+        plan = build_plan(result.module)
+        source = stub_source(plan)
+        tree = ast.parse(source)
+        loops = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.For, ast.While, ast.ListComp,
+                                      ast.GeneratorExp, ast.DictComp,
+                                      ast.SetComp))]
+        assert loops == [], f"{name}: stub loops\n{source}"
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        assert "zip" not in names, f"{name}: stub zips\n{source}"
+        lines = [line.strip() for line in source.splitlines()]
+        for index in range(len(plan.params)):
+            marshal = [line for line in lines
+                       if line.startswith(f"b{index} = ")]
+            assert len(marshal) == 1, f"{name}: input {index}\n{source}"
+        for index in range(len(plan.outputs)):
+            alloc = [line for line in lines
+                     if line.startswith(f"o{index} = zeros(")]
+            assert len(alloc) == 1, f"{name}: output {index}\n{source}"
+        assert len([line for line in lines if line == "fn(ip, op)"]) == 1
+
+
+@requires_gcc
+@pytest.mark.parametrize("name", ["fir", "bf_weights", "channel_est",
+                                  *sorted(SIGNATURES)])
+def test_raw_wrapper_call_fills_run_outputs(name):
+    """The ``(void**, void**)`` wrapper ABI that perfbench times raw:
+    called on buffers marshalled by hand, it fills what ``run``
+    returns."""
+    if name in SIGNATURES:
+        result, args = _signature(name)
+        program = result.native_program()
+    else:
+        workload, _, program = _native_program(name)
+        args = list(workload.inputs(0))
+    assert program.stub_source == stub_source(program.plan)
+    want = program.run(args).outputs
+    fn = getattr(native_builder.default_cache().load(program.source),
+                 WRAPPER_SYMBOL)
+    fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
+                   ctypes.POINTER(ctypes.c_void_p)]
+    fn.restype = None
+    plan = program.plan
+    ins = [buf if slot.is_array else np.full(1, buf, slot.dtype)
+           for slot, buf in zip(plan.params,
+                                _reference_buffers(program, args))]
+    outs = [np.zeros(slot.numel, slot.dtype) for slot in plan.outputs]
+    fn((ctypes.c_void_p * max(1, len(ins)))(
+           *(buf.ctypes.data for buf in ins)),
+       (ctypes.c_void_p * max(1, len(outs)))(
+           *(buf.ctypes.data for buf in outs)))
+    for buf, value, slot in zip(outs, want, plan.outputs):
+        assert np.array_equal(
+            buf, np.ravel(np.asarray(value), order="F").astype(slot.dtype))
 
 
 @requires_gcc
