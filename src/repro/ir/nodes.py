@@ -34,9 +34,6 @@ class Expr:
 
     type: IRType
 
-    def children(self) -> list["Expr"]:
-        return []
-
 
 @dataclass
 class Const(Expr):
@@ -71,9 +68,6 @@ class BinOp(Expr):
     left: Expr = None
     right: Expr = None
 
-    def children(self) -> list[Expr]:
-        return [self.left, self.right]
-
 
 @dataclass
 class UnOp(Expr):
@@ -81,9 +75,6 @@ class UnOp(Expr):
 
     op: str = "neg"
     operand: Expr = None
-
-    def children(self) -> list[Expr]:
-        return [self.operand]
 
 
 @dataclass
@@ -97,18 +88,12 @@ class MathCall(Expr):
     name: str = ""
     args: list[Expr] = field(default_factory=list)
 
-    def children(self) -> list[Expr]:
-        return list(self.args)
-
 
 @dataclass
 class Cast(Expr):
     """Numeric conversion to ``type``."""
 
     operand: Expr = None
-
-    def children(self) -> list[Expr]:
-        return [self.operand]
 
 
 @dataclass
@@ -118,9 +103,6 @@ class MakeComplex(Expr):
     real: Expr = None
     imag: Expr = None
 
-    def children(self) -> list[Expr]:
-        return [self.real, self.imag]
-
 
 @dataclass
 class Load(Expr):
@@ -128,9 +110,6 @@ class Load(Expr):
 
     array: str = ""
     index: Expr = None
-
-    def children(self) -> list[Expr]:
-        return [self.index]
 
 
 # -- vector expressions (introduced by the vectorizer) -------------------
@@ -151,18 +130,12 @@ class VecLoad(Expr):
     instruction: "Instruction" = None
     reverse: bool = False
 
-    def children(self) -> list[Expr]:
-        return [self.base]
-
 
 @dataclass
 class VecSplat(Expr):
     """Broadcast a scalar into all lanes."""
 
     operand: Expr = None
-
-    def children(self) -> list[Expr]:
-        return [self.operand]
 
 
 @dataclass
@@ -178,17 +151,6 @@ class IntrinsicCall(Expr):
     instruction: "Instruction" = None
     args: list[Expr] = field(default_factory=list)
 
-    def children(self) -> list[Expr]:
-        return list(self.args)
-
-
-def walk_expr(expr: Expr) -> Iterator[Expr]:
-    """Pre-order traversal of an expression tree."""
-    yield expr
-    for child in expr.children():
-        if child is not None:
-            yield from walk_expr(child)
-
 
 # ----------------------------------------------------------------------
 # Statements
@@ -203,7 +165,7 @@ class Stmt:
     #: (0 = compiler-generated / unknown).  Deliberately a plain class
     #: attribute, not a dataclass field: every subclass is constructed
     #: positionally, and the line is attached after construction by the
-    #: lowerer (copy.deepcopy and pickle preserve it via __dict__).
+    #: lowerer (:func:`clone` and pickle preserve it via __dict__).
     line = 0
 
     def substatements(self) -> list[list["Stmt"]]:
@@ -409,29 +371,117 @@ def walk_statements(body: list[Stmt]) -> Iterator[Stmt]:
             yield from walk_statements(sub)
 
 
-def walk_expressions(body: list[Stmt]) -> Iterator[Expr]:
-    """All expressions appearing in a statement tree."""
-    for stmt in walk_statements(body):
-        for expr in statement_exprs(stmt):
-            yield from walk_expr(expr)
+# ----------------------------------------------------------------------
+# Child-field tables
+# ----------------------------------------------------------------------
+
+
+class Many(str):
+    """Marks a field holding a list.  Its ``Expr`` items are children;
+    any other item (an array or result name of a :class:`Call`) is
+    plain data."""
+
+
+class Block(str):
+    """Marks a statement field holding a nested statement list."""
+
+
+#: Child-expression fields of every expression class, in evaluation
+#: (and pre-order) sequence.
+EXPR_FIELDS: dict[type, tuple[str, ...]] = {
+    Const: (),
+    VarRef: (),
+    BinOp: ("left", "right"),
+    UnOp: ("operand",),
+    MathCall: (Many("args"),),
+    Cast: ("operand",),
+    MakeComplex: ("real", "imag"),
+    Load: ("index",),
+    VecLoad: ("base",),
+    VecSplat: ("operand",),
+    IntrinsicCall: (Many("args"),),
+}
+
+#: Expression, list and nested-body fields of every statement class.
+STMT_FIELDS: dict[type, tuple[str, ...]] = {
+    AssignVar: ("value",),
+    Store: ("index", "value"),
+    VecStore: ("base", "value"),
+    IntrinsicStmt: ("call",),
+    ForRange: ("start", "stop", Block("body")),
+    While: ("condition", Block("body")),
+    If: ("condition", Block("then_body"), Block("else_body")),
+    Break: (),
+    Continue: (),
+    Return: (),
+    Call: (Many("args"), Many("results")),
+    Emit: (Many("args"),),
+    CopyArray: (),
+}
+
+#: The tables as ``(field, holds a list)`` pairs, the form the walkers
+#: and rewriters iterate; a statement's nested bodies are left out.
+EXPR_SLOTS = {cls: tuple((name, isinstance(name, Many)) for name in fields)
+              for cls, fields in EXPR_FIELDS.items()}
+STMT_EXPR_SLOTS = {cls: tuple((name, isinstance(name, Many))
+                              for name in fields
+                              if not isinstance(name, Block))
+                   for cls, fields in STMT_FIELDS.items()}
+# Reversed, so that a stack pops the children back in order.
+_EXPR_PUSH = {cls: slots[::-1] for cls, slots in EXPR_SLOTS.items()}
+_ALL_FIELDS = {**EXPR_FIELDS, **STMT_FIELDS}
+
+
+def walk_expr(expr: Expr) -> list[Expr]:
+    """Pre-order traversal of an expression tree."""
+    order = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        order.append(node)
+        for name, many in _EXPR_PUSH[type(node)]:
+            if many:
+                stack.extend(reversed(getattr(node, name)))
+            else:
+                stack.append(getattr(node, name))
+    return order
 
 
 def statement_exprs(stmt: Stmt) -> list[Expr]:
     """Top-level expressions directly owned by one statement."""
-    if isinstance(stmt, AssignVar):
-        return [stmt.value]
-    if isinstance(stmt, Store):
-        return [stmt.index, stmt.value]
-    if isinstance(stmt, VecStore):
-        return [stmt.base, stmt.value]
-    if isinstance(stmt, IntrinsicStmt):
-        return [stmt.call]
-    if isinstance(stmt, ForRange):
-        return [stmt.start, stmt.stop]
-    if isinstance(stmt, (While, If)):
-        return [stmt.condition]
-    if isinstance(stmt, Call):
-        return [a for a in stmt.args if isinstance(a, Expr)]
-    if isinstance(stmt, Emit):
-        return list(stmt.args)
-    return []
+    exprs = []
+    for name, many in STMT_EXPR_SLOTS[type(stmt)]:
+        if many:
+            exprs.extend(a for a in getattr(stmt, name)
+                         if isinstance(a, Expr))
+        else:
+            exprs.append(getattr(stmt, name))
+    return exprs
+
+
+def clone(node):
+    """Structural copy of an expression, a statement or a list of them.
+
+    Every ``Expr``, ``Stmt`` and list is new; the immutable leaves (the
+    frozen IR types, :class:`~repro.asip.model.Instruction` objects,
+    names and constants) are shared.  Copying ``__dict__`` keeps a
+    statement's ``line``.
+    """
+    if isinstance(node, list):
+        return [clone(item) for item in node]
+    cls = type(node)
+    state = node.__dict__.copy()
+    for name in _ALL_FIELDS[cls]:
+        value = state[name]
+        if isinstance(name, Many):
+            state[name] = [clone(item) if isinstance(item, Expr) else item
+                           for item in value]
+        elif isinstance(name, Block):
+            state[name] = [clone(item) for item in value]
+        elif value is not None:
+            state[name] = clone(value)
+    copy = object.__new__(cls)
+    copy.__dict__ = state
+    return copy

@@ -98,13 +98,12 @@ class CommonSubexpressionElimination:
             return []
         maximal = set(repeated)
         for key in repeated:
-            sample = samples[key]
-            for child in sample.children():
-                for node in ir.walk_expr(child):
-                    child_key = _expr_key(node)
-                    if child_key in maximal and \
-                            counts[child_key] == counts[key]:
-                        maximal.discard(child_key)
+            # The sample's proper subexpressions: its walk without itself.
+            for node in ir.walk_expr(samples[key])[1:]:
+                child_key = _expr_key(node)
+                if child_key in maximal and \
+                        counts[child_key] == counts[key]:
+                    maximal.discard(child_key)
 
         pre: list[ir.Stmt] = []
         replacements: dict[object, ir.VarRef] = {}

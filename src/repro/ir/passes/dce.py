@@ -10,57 +10,35 @@ operands dead in the next round.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import (loaded_arrays, read_outside_loop,
-                                     used_vars)
+from repro.ir.passes.rewrite import read_outside_loop
 
 
 class DeadCodeElimination:
     name = "dce"
 
     def run(self, func: ir.IRFunction) -> bool:
-        changed = False
         keep = {p.name for p in func.outputs}
         keep.update(p.name for p in func.params)
 
-        live_scalars = used_vars(func.body) | keep
-        live_arrays = loaded_arrays(func.body) | keep
+        used, loaded = _reads(func.body)
+        live_scalars = used | keep
+        live_arrays = loaded | keep
 
         self._func_body = func.body
-        changed |= self._sweep(func.body, live_scalars, live_arrays)
+        changed = self._sweep(func.body, live_scalars, live_arrays)
 
-        # Drop locals that no statement mentions any more.
-        still_assigned = self._mentioned_names(func.body)
+        # Drop locals that no statement mentions any more.  The sweep
+        # only removes statements, so every name still read is in a
+        # live set already: only the written names need a look.
+        written = _writes(func.body)
         for name in list(func.locals):
             if name in keep:
                 continue
-            if name not in still_assigned and name not in live_scalars and \
-                    name not in live_arrays:
+            if name not in written and name not in live_scalars \
+                    and name not in live_arrays:
                 del func.locals[name]
                 changed = True
         return changed
-
-    def _mentioned_names(self, body: list[ir.Stmt]) -> set[str]:
-        names: set[str] = set()
-        for stmt in ir.walk_statements(body):
-            if isinstance(stmt, ir.AssignVar):
-                names.add(stmt.name)
-            elif isinstance(stmt, (ir.Store, ir.VecStore)):
-                names.add(stmt.array)
-            elif isinstance(stmt, ir.ForRange):
-                names.add(stmt.var)
-            elif isinstance(stmt, ir.CopyArray):
-                names.add(stmt.dst)
-                names.add(stmt.src)
-            elif isinstance(stmt, ir.Call):
-                names.update(stmt.results)
-                names.update(a for a in stmt.args if isinstance(a, str))
-            for expr in ir.statement_exprs(stmt):
-                for node in ir.walk_expr(expr):
-                    if isinstance(node, ir.VarRef):
-                        names.add(node.name)
-                    elif isinstance(node, (ir.Load, ir.VecLoad)):
-                        names.add(node.array)
-        return names
 
     def _sweep(self, body: list[ir.Stmt], live_scalars: set[str],
                live_arrays: set[str]) -> bool:
@@ -122,3 +100,38 @@ class DeadCodeElimination:
         # Only now the whole-function walk: almost every loop writes
         # something live and has already been kept above.
         return not read_outside_loop(self._func_body, loop, loop.var)
+
+
+def _reads(body: list[ir.Stmt]) -> tuple[set[str], set[str]]:
+    """The scalar names and the array names read in ``body``."""
+    used: set[str] = set()
+    loaded: set[str] = set()
+    for stmt in ir.walk_statements(body):
+        for expr in ir.statement_exprs(stmt):
+            for node in ir.walk_expr(expr):
+                if isinstance(node, ir.VarRef):
+                    used.add(node.name)
+                elif isinstance(node, (ir.Load, ir.VecLoad)):
+                    loaded.add(node.array)
+        if isinstance(stmt, ir.CopyArray):
+            loaded.add(stmt.src)
+        elif isinstance(stmt, ir.Call):
+            loaded.update(a for a in stmt.args if isinstance(a, str))
+    return used, loaded
+
+
+def _writes(body: list[ir.Stmt]) -> set[str]:
+    """The scalar and array names written in ``body``."""
+    written: set[str] = set()
+    for stmt in ir.walk_statements(body):
+        if isinstance(stmt, ir.AssignVar):
+            written.add(stmt.name)
+        elif isinstance(stmt, (ir.Store, ir.VecStore)):
+            written.add(stmt.array)
+        elif isinstance(stmt, ir.ForRange):
+            written.add(stmt.var)
+        elif isinstance(stmt, ir.CopyArray):
+            written.add(stmt.dst)
+        elif isinstance(stmt, ir.Call):
+            written.update(stmt.results)
+    return written

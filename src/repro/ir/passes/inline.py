@@ -16,8 +16,6 @@ everything else to fresh names.
 
 from __future__ import annotations
 
-import copy
-
 from repro.ir import nodes as ir
 from repro.ir.types import ArrayType
 
@@ -109,7 +107,7 @@ class FunctionInlining:
                 caller.declare(temp, param.type)
                 rename[param.name] = temp
                 prologue.append(ir.AssignVar(temp,
-                                             copy.deepcopy(argument)))
+                                             ir.clone(argument)))
 
         for out, result in zip(callee.outputs, call.results):
             rename[out.name] = result
@@ -121,7 +119,7 @@ class FunctionInlining:
             rename[name] = fresh
             caller.declare(fresh, ir_type)
 
-        body = copy.deepcopy(callee.body)
+        body = ir.clone(callee.body)
         _rename_tree(body, rename)
         return prologue + body
 

@@ -3,8 +3,9 @@
 A pass is any object with ``name`` and ``run(func: IRFunction) -> bool``
 (returning True when it changed something).  The manager runs its pass
 list over every function of a module repeatedly until a fixpoint, with a
-safety bound.  The standard pipelines used by the compiler driver live
-here so the ablation benchmarks can switch them off selectively.
+safety bound: it stops as soon as every pass has run on the current IR
+without changing it.  The standard pipelines used by the compiler driver
+live here so the ablation benchmarks can switch them off selectively.
 """
 
 from __future__ import annotations
@@ -52,10 +53,15 @@ class PassManager:
         stats: dict[str, int] = {}
         for func in module.functions:
             rounds = 0
+            # Passes run since the IR last changed.  Once every pass has
+            # run on the current IR without changing it, a further round
+            # would change nothing: stop there, even mid-round.  The pass
+            # that changed the IR last runs again too (DCE can change its
+            # own output).
+            unchanged = 0
             converged = False
-            for _ in range(self.max_rounds):
+            while not converged and rounds < self.max_rounds:
                 rounds += 1
-                changed = False
                 for pass_ in self.passes:
                     with session.span(pass_.name, "pass",
                                       function=func.name,
@@ -64,13 +70,15 @@ class PassManager:
                     session.observe(f"pass.{pass_.name}_s",
                                     span.duration)
                     if did_change:
-                        changed = True
+                        unchanged = 0
                         stats[pass_.name] = stats.get(pass_.name, 0) + 1
                         if session.print_changed:
                             _print_changed(pass_, func, rounds)
-                if not changed:
-                    converged = True
-                    break
+                    else:
+                        unchanged += 1
+                    if unchanged == len(self.passes):
+                        break
+                converged = unchanged == len(self.passes)
             stats[f"rounds[{func.name}]"] = \
                 stats.get(f"rounds[{func.name}]", 0) + rounds
             if not converged:

@@ -11,52 +11,26 @@ ExprRewriter = Callable[[ir.Expr], ir.Expr]
 
 def rewrite_expr(expr: ir.Expr, fn: ExprRewriter) -> ir.Expr:
     """Bottom-up rewrite: children first, then ``fn`` on the node."""
-    if isinstance(expr, ir.BinOp):
-        expr.left = rewrite_expr(expr.left, fn)
-        expr.right = rewrite_expr(expr.right, fn)
-    elif isinstance(expr, ir.UnOp):
-        expr.operand = rewrite_expr(expr.operand, fn)
-    elif isinstance(expr, ir.MathCall):
-        expr.args = [rewrite_expr(a, fn) for a in expr.args]
-    elif isinstance(expr, ir.Cast):
-        expr.operand = rewrite_expr(expr.operand, fn)
-    elif isinstance(expr, ir.MakeComplex):
-        expr.real = rewrite_expr(expr.real, fn)
-        expr.imag = rewrite_expr(expr.imag, fn)
-    elif isinstance(expr, ir.Load):
-        expr.index = rewrite_expr(expr.index, fn)
-    elif isinstance(expr, ir.VecLoad):
-        expr.base = rewrite_expr(expr.base, fn)
-    elif isinstance(expr, ir.VecSplat):
-        expr.operand = rewrite_expr(expr.operand, fn)
-    elif isinstance(expr, ir.IntrinsicCall):
-        expr.args = [rewrite_expr(a, fn) for a in expr.args]
+    for name, many in ir.EXPR_SLOTS[type(expr)]:
+        child = getattr(expr, name)
+        if many:
+            setattr(expr, name, [rewrite_expr(a, fn) for a in child])
+        elif child is not None:
+            setattr(expr, name, rewrite_expr(child, fn))
     return fn(expr)
 
 
 def rewrite_stmt_exprs(stmt: ir.Stmt, fn: ExprRewriter) -> None:
     """Apply ``fn`` bottom-up to every expression directly owned by
     ``stmt`` (not to nested statements)."""
-    if isinstance(stmt, ir.AssignVar):
-        stmt.value = rewrite_expr(stmt.value, fn)
-    elif isinstance(stmt, ir.Store):
-        stmt.index = rewrite_expr(stmt.index, fn)
-        stmt.value = rewrite_expr(stmt.value, fn)
-    elif isinstance(stmt, ir.VecStore):
-        stmt.base = rewrite_expr(stmt.base, fn)
-        stmt.value = rewrite_expr(stmt.value, fn)
-    elif isinstance(stmt, ir.IntrinsicStmt):
-        stmt.call = rewrite_expr(stmt.call, fn)
-    elif isinstance(stmt, ir.ForRange):
-        stmt.start = rewrite_expr(stmt.start, fn)
-        stmt.stop = rewrite_expr(stmt.stop, fn)
-    elif isinstance(stmt, (ir.While, ir.If)):
-        stmt.condition = rewrite_expr(stmt.condition, fn)
-    elif isinstance(stmt, ir.Call):
-        stmt.args = [rewrite_expr(a, fn) if isinstance(a, ir.Expr) else a
-                     for a in stmt.args]
-    elif isinstance(stmt, ir.Emit):
-        stmt.args = [rewrite_expr(a, fn) for a in stmt.args]
+    for name, many in ir.STMT_EXPR_SLOTS[type(stmt)]:
+        value = getattr(stmt, name)
+        if many:
+            setattr(stmt, name, [rewrite_expr(a, fn)
+                                 if isinstance(a, ir.Expr) else a
+                                 for a in value])
+        elif value is not None:
+            setattr(stmt, name, rewrite_expr(value, fn))
 
 
 def rewrite_tree(body: list[ir.Stmt], fn: ExprRewriter) -> None:
@@ -123,6 +97,34 @@ def read_outside_loop(body: list[ir.Stmt], loop: ir.ForRange,
             if read_outside_loop(sub, loop, name):
                 return True
     return False
+
+
+def names_read(body: list[ir.Stmt],
+               skip: ir.Stmt | None = None) -> set[str]:
+    """The scalar names read in ``body`` outside statement ``skip``.
+
+    ``name in names_read(body, loop)`` is ``read_outside_loop(body,
+    loop, name)`` for every name at once, with the same rule for a
+    ``ForRange`` rebinding a name: its body's reads of that name don't
+    count, its bounds' do.
+    """
+    names: set[str] = set()
+    for stmt in body:
+        if stmt is skip:
+            continue
+        for expr in ir.statement_exprs(stmt):
+            for node in ir.walk_expr(expr):
+                if isinstance(node, ir.VarRef):
+                    names.add(node.name)
+        nested = stmt.substatements()
+        if nested:
+            inner: set[str] = set()
+            for sub in nested:
+                inner |= names_read(sub, skip)
+            if isinstance(stmt, ir.ForRange):
+                inner.discard(stmt.var)
+            names |= inner
+    return names
 
 
 def used_vars_expr(expr: ir.Expr, names: set[str]) -> None:

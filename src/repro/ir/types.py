@@ -30,15 +30,15 @@ class ScalarKind(enum.Enum):
 
     @property
     def is_complex(self) -> bool:
-        return self in (ScalarKind.C64, ScalarKind.C128)
+        return self in _COMPLEX_KINDS
 
     @property
     def is_float(self) -> bool:
-        return self in (ScalarKind.F32, ScalarKind.F64)
+        return self in _FLOAT_KINDS
 
     @property
     def is_integer(self) -> bool:
-        return self in (ScalarKind.I8, ScalarKind.I16, ScalarKind.I32, ScalarKind.BOOL)
+        return self in _INTEGER_KINDS
 
     @property
     def real_kind(self) -> "ScalarKind":
@@ -54,6 +54,14 @@ class ScalarKind(enum.Enum):
         if self in (ScalarKind.F32, ScalarKind.C64):
             return ScalarKind.C64
         return ScalarKind.C128
+
+
+# Built once: a tuple literal in the properties would look every member
+# up again on each call.
+_COMPLEX_KINDS = frozenset({ScalarKind.C64, ScalarKind.C128})
+_FLOAT_KINDS = frozenset({ScalarKind.F32, ScalarKind.F64})
+_INTEGER_KINDS = frozenset({ScalarKind.I8, ScalarKind.I16, ScalarKind.I32,
+                            ScalarKind.BOOL})
 
 
 @dataclass(frozen=True)

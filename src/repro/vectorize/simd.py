@@ -18,13 +18,11 @@ retargetable.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.asip.model import ProcessorDescription
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import (assigned_vars, read_outside_loop,
-                                     stored_arrays)
+from repro.ir.passes.rewrite import assigned_vars, names_read, stored_arrays
 from repro.ir.types import I32, ScalarKind, ScalarType, VectorType
 from repro.observe import remarks as obs_remarks
 
@@ -51,7 +49,11 @@ class SimdVectorizer:
 
     def run(self, func: ir.IRFunction) -> bool:
         self._func = func
-        return self._walk(func.body)
+        # names_read of each top-level statement, by id (see
+        # _read_outside); an entry keeps its statement alive, so the id
+        # cannot be reused while it is cached.
+        self._reads: dict[int, tuple[ir.Stmt, set[str]]] = {}
+        return self._walk(func.body, None)
 
     # ------------------------------------------------------------------
     # Remarks
@@ -67,27 +69,42 @@ class SimdVectorizer:
                            function=self._func.name, line=loop.line,
                            **args)
 
-    def _used_outside(self, loop: ir.ForRange, name: str) -> bool:
-        """Is ``name`` read (as a live value) outside ``loop``'s body?
+    def _read_outside(self, loop: ir.ForRange, top: ir.Stmt) -> set[str]:
+        """The names read (as live values) outside ``loop``.
 
-        A loop-local temporary (or the induction variable) that is read
-        after the loop would hold the wrong value when the vector main
-        loop covers all iterations and the scalar tail never runs.
+        ``loop`` lies in the top-level statement ``top``.  A loop-local
+        temporary (or the induction variable) that is read after the
+        loop would hold the wrong value when the vector main loop
+        covers all iterations and the scalar tail never runs.  The set
+        is ``names_read(body, loop)`` of the function body, built from
+        one walk of ``top`` and the cached reads of every other
+        top-level statement: the vectorizer only rewrites inside
+        ``top``, so ``top``'s own entry is dropped here and rebuilt the
+        next time another statement's loop asks.
         """
+        self._reads.pop(id(top), None)
+        names = names_read([top], loop)
+        for stmt in self._func.body:
+            if stmt is top:
+                continue
+            cached = self._reads.get(id(stmt))
+            if cached is None:
+                cached = self._reads[id(stmt)] = (stmt, names_read([stmt]))
+            names |= cached[1]
         # A function output is read by the caller after the loop even
         # when no statement in the body mentions it again.
-        if any(p.name == name for p in self._func.outputs):
-            return True
-        return read_outside_loop(self._func.body, loop, name)
+        names.update(p.name for p in self._func.outputs)
+        return names
 
-    def _walk(self, body: list[ir.Stmt]) -> bool:
+    def _walk(self, body: list[ir.Stmt], top: ir.Stmt | None) -> bool:
         changed = False
         index = 0
         while index < len(body):
             stmt = body[index]
+            owner = stmt if top is None else top
             if isinstance(stmt, ir.ForRange):
                 if self._is_innermost(stmt):
-                    replacement = self._try_vectorize(stmt)
+                    replacement = self._try_vectorize(stmt, owner)
                     if replacement is not None:
                         body[index:index + 1] = replacement
                         index += len(replacement)
@@ -100,7 +117,7 @@ class SimdVectorizer:
                 self._missed(stmt, "while loops are not vectorized "
                                    "(unknown trip count shape)")
             for sub in stmt.substatements():
-                changed |= self._walk(sub)
+                changed |= self._walk(sub, owner)
             index += 1
         return changed
 
@@ -118,7 +135,8 @@ class SimdVectorizer:
     # Loop analysis
     # ------------------------------------------------------------------
 
-    def _try_vectorize(self, loop: ir.ForRange) -> list[ir.Stmt] | None:
+    def _try_vectorize(self, loop: ir.ForRange,
+                       top: ir.Stmt) -> list[ir.Stmt] | None:
         if loop.step != 1:
             self._missed(loop, f"loop step is {loop.step}; only "
                                "unit-stride (step 1) loops are "
@@ -161,14 +179,15 @@ class SimdVectorizer:
         if plan is None:
             # _plan_body emitted the specific missed remark.
             return None
-        if self._used_outside(loop, loop.var):
+        live_after = self._read_outside(loop, top)
+        if loop.var in live_after:
             self._missed(loop, f"loop variable {loop.var!r} is live "
                                "after the loop; the vector main loop "
                                "would leave it with the wrong value",
                          variable=loop.var)
             return None
         for entry in plan:
-            if entry[0] == "temp" and self._used_outside(loop, entry[1].name):
+            if entry[0] == "temp" and entry[1].name in live_after:
                 self._missed(loop, f"temporary {entry[1].name!r} is "
                                    "live after the loop",
                              variable=entry[1].name)
@@ -392,7 +411,7 @@ class SimdVectorizer:
                 if instr is None:
                     return None
                 return ir.VecLoad(vtype, array=expr.array,
-                                  base=copy.deepcopy(expr.index),
+                                  base=ir.clone(expr.index),
                                   instruction=instr)
             if stride == -1:
                 # Descending access x(n-k): a reversed vector load reads
@@ -402,18 +421,18 @@ class SimdVectorizer:
                 if instr is None:
                     return None
                 base = ir.BinOp(I32, op="sub",
-                                left=copy.deepcopy(expr.index),
+                                left=ir.clone(expr.index),
                                 right=ir.Const(I32, lanes - 1))
                 return ir.VecLoad(vtype, array=expr.array, base=base,
                                   instruction=instr, reverse=True)
             if stride == 0 and self._is_invariant(expr, var):
-                return self._splat(copy.deepcopy(expr), elem, lanes)
+                return self._splat(ir.clone(expr), elem, lanes)
             return None
 
         if isinstance(expr, ir.Const):
             if expr.type != elem:
                 return None
-            return self._splat(copy.deepcopy(expr), elem, lanes)
+            return self._splat(ir.clone(expr), elem, lanes)
 
         if isinstance(expr, ir.VarRef):
             if expr.name in vector_temps:
@@ -422,7 +441,7 @@ class SimdVectorizer:
                 return None
             if expr.type != elem:
                 return None
-            return self._splat(copy.deepcopy(expr), elem, lanes)
+            return self._splat(ir.clone(expr), elem, lanes)
 
         if isinstance(expr, ir.BinOp):
             from repro.vectorize.select import SIMD_BINOPS
@@ -478,7 +497,7 @@ class SimdVectorizer:
         # Loop-invariant scalar subexpression of the right type: splat it.
         if isinstance(expr.type, ScalarType) and expr.type == elem and \
                 self._is_invariant(expr, var):
-            return self._splat(copy.deepcopy(expr), elem, lanes)
+            return self._splat(ir.clone(expr), elem, lanes)
         return None
 
     def _splat(self, operand: ir.Expr, elem: ScalarType,
@@ -545,13 +564,13 @@ class SimdVectorizer:
         else:
             name = self._temp("vstop")
             func.declare(name, I32)
-            span = ir.BinOp(I32, op="sub", left=copy.deepcopy(loop.stop),
-                            right=copy.deepcopy(loop.start))
+            span = ir.BinOp(I32, op="sub", left=ir.clone(loop.stop),
+                            right=ir.clone(loop.start))
             chunks = ir.BinOp(I32, op="div", left=span,
                               right=ir.Const(I32, lanes))
             scaled = ir.BinOp(I32, op="mul", left=chunks,
                               right=ir.Const(I32, lanes))
-            total = ir.BinOp(I32, op="add", left=copy.deepcopy(loop.start),
+            total = ir.BinOp(I32, op="add", left=ir.clone(loop.start),
                              right=scaled)
             out.append(ir.AssignVar(name, total))
             main_stop = ir.VarRef(I32, name)
@@ -571,7 +590,7 @@ class SimdVectorizer:
 
         # Main vector body.  Vector temporaries get fresh names so the
         # scalar tail loop keeps using the original scalar variables.
-        tail_body = copy.deepcopy(loop.body)
+        tail_body = ir.clone(loop.body)
         main_body: list[ir.Stmt] = []
         renames: dict[str, str] = {}
         for entry in plan:
@@ -633,7 +652,7 @@ class SimdVectorizer:
                 left=ir.VarRef(elem, acc_name), right=fold)))
 
         # Scalar tail.
-        out.append(ir.ForRange(var=loop.var, start=copy.deepcopy(main_stop),
+        out.append(ir.ForRange(var=loop.var, start=ir.clone(main_stop),
                                stop=loop.stop, step=1, body=tail_body))
         # Compiler-generated glue (trip split, prologues, epilogues, the
         # strip-mined loop headers) maps to the loop's own source line.

@@ -610,3 +610,125 @@ end
     module = assert_semantics_preserved(src, "f", [MType.double()], [3.0],
                                         standard_pipeline())
     assert abs(run_module(module, [3.0]).outputs[0] - 3.0) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# Pass manager: the fixpoint stop rule
+# ----------------------------------------------------------------------
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+from workloads import default_workloads  # noqa: E402
+
+
+def _inlined(kernel) -> ir.IRModule:
+    """A benchmark kernel lowered and inlined, ready for the pipelines."""
+    from repro.ir.passes.inline import FunctionInlining
+    module = build(kernel.source, kernel.entry, list(kernel.arg_types))
+    FunctionInlining().run_module(module)
+    return module
+
+
+class _Counting:
+    """Wraps a pass and logs each of its runs."""
+
+    def __init__(self, inner, runs: list):
+        self.inner, self.name, self.runs = inner, inner.name, runs
+
+    def run(self, func: ir.IRFunction) -> bool:
+        self.runs.append(self.name)
+        return self.inner.run(func)
+
+
+def _whole_rounds(passes, module: ir.IRModule, max_rounds: int = 8):
+    """Reference stop rule: whole rounds until a round changes nothing.
+    Returns the stats ``PassManager.run`` reports and the runs made."""
+    stats: dict[str, int] = {}
+    runs = 0
+    for func in module.functions:
+        rounds = 0
+        for _ in range(max_rounds):
+            rounds += 1
+            changed = False
+            for pass_ in passes:
+                runs += 1
+                if pass_.run(func):
+                    changed = True
+                    stats[pass_.name] = stats.get(pass_.name, 0) + 1
+            if not changed:
+                break
+        stats[f"rounds[{func.name}]"] = rounds
+    return stats, runs
+
+
+def test_pipeline_output_is_a_fixpoint_of_every_pass():
+    from repro.compiler import compile_source
+    for kernel in default_workloads():
+        module = _inlined(kernel)
+        standard_pipeline().run(module)
+        for func in module.functions:
+            for pass_ in standard_pipeline().passes:
+                assert not pass_.run(func), (kernel.name, pass_.name)
+        result = compile_source(kernel.source, kernel.arg_types,
+                                entry=kernel.entry,
+                                processor="vliw_simd_dsp", use_cache=False)
+        for func in result.module.functions:
+            for pass_ in cleanup_pipeline().passes:
+                assert not pass_.run(func), (kernel.name, pass_.name)
+
+
+def test_fixpoint_skips_the_rest_of_the_clean_round_with_equal_stats():
+    saved = 0
+    for pipeline in (standard_pipeline, cleanup_pipeline):
+        for kernel in default_workloads():
+            reference = _inlined(kernel)
+            ref_stats, ref_runs = _whole_rounds(pipeline().passes,
+                                                reference)
+            module = _inlined(kernel)
+            runs: list[str] = []
+            manager = pipeline()
+            manager.passes = [_Counting(p, runs) for p in manager.passes]
+            assert manager.run(module) == ref_stats, kernel.name
+            assert format_module(module) == format_module(reference)
+            assert len(runs) <= ref_runs
+            saved += ref_runs - len(runs)
+    assert saved > 0
+
+
+class _Countdown:
+    """A pass that reports a change on its first ``times`` runs."""
+
+    def __init__(self, name: str, times: int):
+        self.name, self.left, self.runs = name, times, 0
+
+    def run(self, func: ir.IRFunction) -> bool:
+        self.runs += 1
+        self.left -= 1
+        return self.left >= 0
+
+
+def _one_function() -> ir.IRModule:
+    return ir.IRModule(functions=[ir.IRFunction(name="t")], entry="t")
+
+
+def test_fixpoint_stops_mid_round_once_every_pass_saw_the_ir():
+    first, second = _Countdown("a", 2), _Countdown("b", 0)
+    stats = PassManager([first, second]).run(_one_function())
+    assert stats == {"a": 2, "rounds[t]": 3}
+    # Whole rounds would run b a third time on IR it has already seen.
+    assert (first.runs, second.runs) == (3, 2)
+
+
+def test_fixpoint_reruns_the_pass_that_changed_last():
+    first, second = _Countdown("a", 0), _Countdown("b", 1)
+    stats = PassManager([first, second]).run(_one_function())
+    assert stats == {"b": 1, "rounds[t]": 2}
+    assert (first.runs, second.runs) == (2, 2)
+
+
+def test_fixpoint_bound_and_empty_pipeline_keep_their_round_counts():
+    restless, quiet = _Countdown("a", 100), _Countdown("b", 0)
+    stats = PassManager([restless, quiet], max_rounds=3).run(
+        _one_function())
+    assert stats == {"a": 3, "rounds[t]": 3}
+    assert (restless.runs, quiet.runs) == (3, 3)
+    assert PassManager([]).run(_one_function()) == {"rounds[t]": 1}

@@ -1,5 +1,8 @@
 """Unit tests for SIMD vectorization and instruction selection."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.asip.isa_library import (
@@ -9,8 +12,18 @@ from repro.asip.isa_library import (
     wide_simd_dsp,
 )
 from repro.compiler import CompilerOptions, arg, compile_source
+from repro.errors import UnsupportedFeatureError
+from repro.fuzz.reducer import load_reproducer
+from repro.ir import nodes as ir
+from repro.ir.passes.rewrite import read_outside_loop
 from repro.ir.verifier import verify_module
 from repro.mlab.interp import MatlabInterpreter
+from repro.vectorize.simd import SimdVectorizer
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+from workloads import default_workloads  # noqa: E402
+
+CORPUS = Path(__file__).parent / "fuzz_corpus"
 
 
 def compiled(source, args, processor="vliw_simd_dsp", **kw):
@@ -321,3 +334,46 @@ def test_vectorized_modules_verify():
     ]:
         result = compiled(source, args)
         verify_module(result.module)
+
+
+def test_cached_loop_liveness_matches_the_whole_function_walk(monkeypatch):
+    """Every liveness set the vectorizer builds from its cached reads
+    answers each name exactly as ``read_outside_loop`` does at that
+    moment (plus the function outputs, which the caller reads)."""
+    checked: dict[str, int] = {}
+    real = SimdVectorizer._read_outside
+
+    def differential(self, loop, top):
+        live = real(self, loop, top)
+        func = self._func
+        outputs = {p.name for p in func.outputs}
+        names = set(live) | set(func.locals) | outputs
+        names.update(node.name for stmt in ir.walk_statements(func.body)
+                     for expr in ir.statement_exprs(stmt)
+                     for node in ir.walk_expr(expr)
+                     if isinstance(node, ir.VarRef))
+        for name in names:
+            expected = name in outputs or \
+                read_outside_loop(func.body, loop, name)
+            # ``label`` names the program the loop below is compiling.
+            assert (name in live) == expected, (label, loop.line, name)
+        checked[label] = checked.get(label, 0) + 1
+        return live
+
+    monkeypatch.setattr(SimdVectorizer, "_read_outside", differential)
+    programs = [(k.name, k.source, k.arg_types, k.entry)
+                for k in default_workloads()]
+    for path in sorted(CORPUS.glob("*.m")):
+        program, _ = load_reproducer(CORPUS, path.stem)
+        if program.mode == "compile":
+            programs.append((path.stem, program.source,
+                             program.arg_specs(), program.entry))
+    for label, source, args, entry in programs:
+        for processor in ("vliw_simd_dsp", "wide_simd_dsp"):
+            try:
+                compile_source(source, args, entry=entry,
+                               processor=processor, use_cache=False)
+            except UnsupportedFeatureError:
+                continue
+    assert checked["vectorizer_output_liveness"]
+    assert checked["inv3x3"] > 10
