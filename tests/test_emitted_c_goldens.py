@@ -9,10 +9,11 @@ simulated cycle report on the kernel's seed-0 inputs (``total`` as
 ``cycles``, ``by_category`` and ``instruction_counts``), the pass
 pipeline's ``pass_stats`` (change count per pass and rounds per
 function), the number of loops the SIMD vectorizer reported as
-vectorized, and the sha256 and node count of the printed IR that
-``lower_program`` builds, before any pass, in the build's lowering
-mode.  A builder or pass refactor that claims to keep behaviour must
-keep all 40 entries.
+vectorized, the sha256 of the build's optimization remarks (their
+``to_dict()`` list, in emission order), and the sha256 and node count
+of the printed IR that ``lower_program`` builds, before any pass, in
+the build's lowering mode.  A builder or pass refactor that claims to
+keep behaviour must keep all 40 entries.
 
 When a change is meant to alter the emitted C, regenerate the file
 with this module's script entry point and review the diff:
@@ -101,6 +102,8 @@ def build_record(kernel_name: str, build: str, result=None) -> dict:
                 1 for remark in result.remarks
                 if remark.kind == PASSED
                 and remark.pass_name == "simd-vectorize"),
+            "remarks_sha256": sha256(json.dumps(
+                [remark.to_dict() for remark in result.remarks])),
             "ir_sha256": sha256(format_module(module)),
             "ir_nodes": count_nodes(module)}
 
