@@ -78,6 +78,14 @@ class CompilerOptions:
                                complex_isel=False, scalar_mac=False)
 
 
+#: The instruction-selection stages in pipeline order: (stage name,
+#: ``CompilerOptions`` switch, selectors run on each function in turn).
+_SELECTION_STAGES = (
+    ("simd", "simd", (SimdVectorizer,)),
+    ("complex-isel", "complex_isel", (ComplexInstructionSelector,)),
+    ("idiom-select", "scalar_mac", (ClipSelector, ScalarMacSelector)),
+)
+
 #: Execution backends accepted by :meth:`CompilationResult.simulate`:
 #: the cycle-accounting simulator and the native ``.so`` tier.
 SIM_BACKENDS = ("compiled", "native")
@@ -331,34 +339,17 @@ def _compile_uncached(source, args, entry, processor, options, filename,
                 _merge_stats(stats, standard_pipeline().run(module))
             times["scalar-opt"] = span.duration
 
-        if options.simd:
-            with session.span("simd", "stage") as span:
-                vectorizer = SimdVectorizer(processor)
+        for stage, option, selectors in _SELECTION_STAGES:
+            if not getattr(options, option):
+                continue
+            with session.span(stage, "stage") as span:
+                passes = [selector(processor) for selector in selectors]
                 for func in module.functions:
-                    if vectorizer.run(func):
-                        stats["simd-vectorize"] = \
-                            stats.get("simd-vectorize", 0) + 1
-            times["simd"] = span.duration
-        if options.complex_isel:
-            with session.span("complex-isel", "stage") as span:
-                selector = ComplexInstructionSelector(processor)
-                for func in module.functions:
-                    if selector.run(func):
-                        stats["complex-select"] = \
-                            stats.get("complex-select", 0) + 1
-            times["complex-isel"] = span.duration
-        if options.scalar_mac:
-            with session.span("idiom-select", "stage") as span:
-                mac = ScalarMacSelector(processor)
-                clip = ClipSelector(processor)
-                for func in module.functions:
-                    if clip.run(func):
-                        stats["clip-idiom"] = \
-                            stats.get("clip-idiom", 0) + 1
-                    if mac.run(func):
-                        stats["scalar-mac"] = \
-                            stats.get("scalar-mac", 0) + 1
-            times["idiom-select"] = span.duration
+                    for selection in passes:
+                        if selection.run(func):
+                            stats[selection.name] = \
+                                stats.get(selection.name, 0) + 1
+            times[stage] = span.duration
         if options.scalar_opt:
             # CSE + cleanup after instruction selection (CSE before the
             # vectorizer would hide its loop patterns behind

@@ -693,8 +693,12 @@ class _FunctionLowerer:
             # so the body cannot change the bound.
             stop_v = self._hoist_scalar_value(self.lower_scalar(rng.stop), "re")
             f64 = ScalarType(ScalarKind.F64)
-            span = ir.BinOp(f64, op="sub", left=stop_v, right=start_v)
-            ratio = ir.BinOp(f64, op="div", left=span, right=step_v)
+            # The hoisted start and step are leaves; the position below
+            # reads them again through nodes of its own.
+            span = ir.BinOp(f64, op="sub", left=stop_v,
+                            right=ir.clone(start_v))
+            ratio = ir.BinOp(f64, op="div", left=span,
+                             right=ir.clone(step_v))
             trips = ir.BinOp(I32, op="add",
                              left=self.as_i32(ir.MathCall(
                                  f64, name="floor", args=[ratio])),
@@ -1447,8 +1451,8 @@ class _FunctionLowerer:
         self._hoist_scalars(expr, hoisted)
         k = self._int_var("k")
         self.push_block()
-        value = self._scalarize(expr, ir.VarRef(I32, k), hoisted)
-        self.emit(ir.Store(array=dest, index=ir.VarRef(I32, k),
+        value = self._scalarize(expr, k, hoisted)
+        self.emit(ir.Store(array=dest, index=_i32(k),
                            value=self.coerce(value,
                                              ScalarType(dest_type.elem.kind))))
         self.emit(self._for(k, dest_type.numel, self.pop_block()))
@@ -1483,9 +1487,11 @@ class _FunctionLowerer:
         self.emit(ir.AssignVar(name, value))
         return ir.VarRef(value.type, name)
 
-    def _scalarize(self, expr: ast.Expr, k: ir.Expr,
+    def _scalarize(self, expr: ast.Expr, k: str,
                    hoisted: dict[int, ir.Expr]) -> ir.Expr:
-        """Per-element value of ``expr`` at linear position ``k``."""
+        """Per-element value of ``expr`` at linear position ``k`` (the
+        loop counter's name: every index reads it with a node of its
+        own, so the lowered IR stays a tree)."""
         pre = hoisted.get(id(expr))
         if pre is not None:
             return pre
@@ -1496,7 +1502,7 @@ class _FunctionLowerer:
         if isinstance(expr, ast.Identifier):
             array_type = self._array_type_of(expr)
             return ir.Load(ScalarType(array_type.elem.kind),
-                           array=self.ir_name(expr.name), index=k)
+                           array=self.ir_name(expr.name), index=_i32(k))
 
         if isinstance(expr, ast.BinaryOp):
             op = expr.op
@@ -1571,7 +1577,7 @@ class _FunctionLowerer:
         return self._scalarize_via_temp(expr, k)
 
     def _affine_region_index(self, expr: ast.CallIndex,
-                             k: ir.Expr) -> ir.Expr | None:
+                             k: str) -> ir.Expr | None:
         """Map fused-loop position k through a simple slice x(a:b)/x(:).
 
         Returns a linear index expression into the *source* array when
@@ -1582,7 +1588,7 @@ class _FunctionLowerer:
             return None
         arg = expr.args[0]
         if isinstance(arg, ast.ColonAll):
-            return k
+            return _i32(k)
         if isinstance(arg, ast.Range):
             start_t = self.mtype_of(arg.start)
             step_value = 1.0
@@ -1596,12 +1602,12 @@ class _FunctionLowerer:
                 return None
             offset = int(float(start_t.value)) - 1
             if offset == 0:
-                return k
-            return ir.BinOp(I32, op="add", left=k,
+                return _i32(k)
+            return ir.BinOp(I32, op="add", left=_i32(k),
                             right=ir.Const(I32, offset))
         return None
 
-    def _scalarize_via_temp(self, expr: ast.Expr, k: ir.Expr) -> ir.Expr:
+    def _scalarize_via_temp(self, expr: ast.Expr, k: str) -> ir.Expr:
         # Materialization must happen *before* the loop we are inside of;
         # since blocks nest, emit into the enclosing block.
         inner = self._blocks.pop()
@@ -1610,7 +1616,8 @@ class _FunctionLowerer:
         finally:
             self._blocks.append(inner)
         array_type = self.fn.local_type(name)
-        return ir.Load(ScalarType(array_type.elem.kind), array=name, index=k)
+        return ir.Load(ScalarType(array_type.elem.kind), array=name,
+                       index=_i32(k))
 
     def _emit_elementwise_naive(self, expr: ast.BinaryOp | ast.UnaryOp,
                                 dest: str, dest_type: ArrayType) -> None:
@@ -1621,11 +1628,11 @@ class _FunctionLowerer:
                 return self._hoist_scalar_value(self.lower_scalar(node), "h")
             return self._materialize(node)
 
-        def at(operand: ir.Expr | str, kvar: ir.Expr) -> ir.Expr:
+        def at(operand: ir.Expr | str, k: str) -> ir.Expr:
             if isinstance(operand, str):
                 at_type = self.fn.local_type(operand)
                 return ir.Load(ScalarType(at_type.elem.kind), array=operand,
-                               index=kvar)
+                               index=_i32(k))
             return operand
 
         result_t = scalar_from_mtype(self.mtype_of(expr).element_type())
@@ -1633,9 +1640,8 @@ class _FunctionLowerer:
             left_operand = operand_of(expr.left)
             right_operand = operand_of(expr.right)
             k = self._int_var("k")
-            kvar = ir.VarRef(I32, k)
-            left = at(left_operand, kvar)
-            right = at(right_operand, kvar)
+            left = at(left_operand, k)
+            right = at(right_operand, k)
             if expr.op in ("\\", ".\\"):
                 left, right = right, left
             value = self._binop(_SCALAR_BINOPS[expr.op], result_t, left,
@@ -1643,12 +1649,11 @@ class _FunctionLowerer:
         else:
             src = operand_of(expr.operand)
             k = self._int_var("k")
-            kvar = ir.VarRef(I32, k)
-            operand = at(src, kvar)
+            operand = at(src, k)
             value = self.coerce(operand, result_t) if expr.op == "+" \
                 else self._unop(expr.op, result_t, operand)
         self.emit(self._for(k, dest_type.numel, [ir.Store(
-            array=dest, index=kvar,
+            array=dest, index=_i32(k),
             value=self.coerce(value, ScalarType(dest_type.elem.kind)))]))
 
     # -- specific array forms ----------------------------------------------
@@ -1787,10 +1792,9 @@ class _FunctionLowerer:
             dest_elem)
         prod = ir.BinOp(dest_elem, op="mul", left=a_load,
                         right=ir.VarRef(dest_elem, bkj))
-        dest_idx = self._col_major(i, j, m)
-        old = ir.Load(dest_elem, array=dest, index=dest_idx)
+        old = ir.Load(dest_elem, array=dest, index=self._col_major(i, j, m))
         acc_inner = self._for(i, m, [ir.Store(
-            array=dest, index=dest_idx,
+            array=dest, index=self._col_major(i, j, m),
             value=ir.BinOp(dest_elem, op="add", left=old, right=prod))])
 
         b_load = self.coerce(

@@ -293,6 +293,24 @@ _SCALAR_OPERAND_BINOPS = frozenset(
 _SCALAR_OPERAND_INTRINSICS = frozenset(
     ("vadd", "vsub", "vmul", "vdiv", "vmin", "vmax"))
 
+#: The Python code of each custom-instruction operation over its
+#: operands' codes (``vsplat`` is built by ``_intrinsic_expr``).
+_INTRINSIC_CODE = {
+    "vadd": "({0} + {1})", "cadd": "({0} + {1})",
+    "vsub": "({0} - {1})", "csub": "({0} - {1})",
+    "vmul": "({0} * {1})", "cmul": "({0} * {1})",
+    "vdiv": "({0} / {1})",
+    "vmac": "({0} + {1} * {2})", "cmac": "({0} + {1} * {2})",
+    "mac": "({0} + {1} * {2})",
+    "vmin": "_npmin({0}, {1})", "vmax": "_npmax({0}, {1})",
+    "vabs": "_npabs({0})", "vneg": "(-{0})", "vconj": "_npconj({0})",
+    "vredadd": "_fromnp(_npsum({0}))",
+    "vredmin": "_fromnp(_npamin({0}))",
+    "vredmax": "_fromnp(_npamax({0}))",
+    "cconj": "({0}).conjugate()", "cmag2": "_cmag2({0})",
+    "clip": "min(max({0}, {1}), {2})",
+}
+
 _COMPARISONS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
                 "ge": ">="}
 
@@ -690,43 +708,13 @@ class _FuncCodegen:
         op = instr.operation
         a = self._vec_operands(op, e.args, intvars, terms)
         self.charge(terms, "intrinsic", instr.name)
-        if op in ("vadd", "cadd"):
-            return f"({a[0]} + {a[1]})"
-        if op in ("vsub", "csub"):
-            return f"({a[0]} - {a[1]})"
-        if op in ("vmul", "cmul"):
-            return f"({a[0]} * {a[1]})"
-        if op == "vdiv":
-            return f"({a[0]} / {a[1]})"
-        if op in ("vmac", "cmac", "mac"):
-            return f"({a[0]} + {a[1]} * {a[2]})"
-        if op == "vmin":
-            return f"_npmin({a[0]}, {a[1]})"
-        if op == "vmax":
-            return f"_npmax({a[0]}, {a[1]})"
-        if op == "vabs":
-            return f"_npabs({a[0]})"
-        if op == "vneg":
-            return f"(-{a[0]})"
-        if op == "vconj":
-            return f"_npconj({a[0]})"
-        if op == "vsplat" and scalar:
-            return self._lane_scalar(e, e.args[0], a[0], intvars)
         if op == "vsplat":
-            return self._splat_code(e, e.args[0], a[0], intvars)
-        if op == "vredadd":
-            return f"_fromnp(_npsum({a[0]}))"
-        if op == "vredmin":
-            return f"_fromnp(_npamin({a[0]}))"
-        if op == "vredmax":
-            return f"_fromnp(_npamax({a[0]}))"
-        if op == "cconj":
-            return f"({a[0]}).conjugate()"
-        if op == "cmag2":
-            return f"_cmag2({a[0]})"
-        if op == "clip":
-            return f"min(max({a[0]}, {a[1]}), {a[2]})"
-        raise SimulationError(f"unknown intrinsic operation {op!r}")
+            splat = self._lane_scalar if scalar else self._splat_code
+            return splat(e, e.args[0], a[0], intvars)
+        template = _INTRINSIC_CODE.get(op)
+        if template is None:
+            raise SimulationError(f"unknown intrinsic operation {op!r}")
+        return template.format(*a)
 
     # -- statements ----------------------------------------------------
 

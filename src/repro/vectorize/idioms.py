@@ -1,110 +1,26 @@
 """Scalar idiom recognition against custom instructions.
 
-Two idioms:
+Two idioms, each a row of :data:`repro.vectorize.select.PATTERNS`:
 
 * multiply-accumulate — ``x + a*b`` on a real scalar maps to the DSP's
   single-cycle ``mac`` instruction, the classic ASIP customization even
   scalar-only targets carry;
-* clip — ``min(max(x, lo), hi)`` (either nesting order) maps to the
-  saturation/clip unit common on audio/telecom ASIPs.
+* clip — ``min(max(x, lo), hi)`` (the min-outer nesting only) maps to
+  the saturation/clip unit common on audio/telecom ASIPs.
 """
 
 from __future__ import annotations
 
-from repro.asip.model import ProcessorDescription
-from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import rewrite_stmt_exprs
-from repro.ir.types import ScalarType
-from repro.observe import remarks as obs_remarks
+from repro.vectorize.select import PatternSelector
 
 
-class _LineAwareSelector:
-    """Shared statement-at-a-time driver that remembers the source line
-    of the statement being rewritten, so selection remarks point at the
-    user's code rather than at the function."""
-
-    name = "selector"
-
-    def run(self, func: ir.IRFunction) -> bool:
-        self._changed = False
-        self._func = func
-        self._line = 0
-        self._walk(func.body)
-        return self._changed
-
-    def _walk(self, body: list[ir.Stmt]) -> None:
-        for stmt in body:
-            self._line = stmt.line
-            rewrite_stmt_exprs(stmt, self._rewrite)
-            for sub in stmt.substatements():
-                self._walk(sub)
-
-    def _select(self, instr, what: str) -> None:
-        self._changed = True
-        obs_remarks.passed(self.name,
-                           f"selected {instr.name!r} for {what}",
-                           function=self._func.name, line=self._line,
-                           instruction=instr.name)
-
-
-class ScalarMacSelector(_LineAwareSelector):
+class ScalarMacSelector(PatternSelector):
     """Rewrites real-scalar ``x + a*b`` into ``mac`` intrinsic calls."""
 
     name = "scalar-mac"
 
-    def __init__(self, processor: ProcessorDescription):
-        self.processor = processor
 
-    def _rewrite(self, expr: ir.Expr) -> ir.Expr:
-        if not isinstance(expr, ir.BinOp) or expr.op != "add":
-            return expr
-        if not isinstance(expr.type, ScalarType) or expr.type.is_complex \
-                or not expr.type.is_float:
-            return expr
-        instr = self.processor.find("mac", expr.type.kind, 1)
-        if instr is None:
-            return expr
-        for addend, product in ((expr.left, expr.right),
-                                (expr.right, expr.left)):
-            if isinstance(product, ir.BinOp) and product.op == "mul" and \
-                    product.type == expr.type:
-                self._select(instr, "scalar multiply-accumulate x + a*b")
-                return ir.IntrinsicCall(
-                    expr.type, instruction=instr,
-                    args=[addend, product.left, product.right])
-        return expr
-
-
-class ClipSelector(_LineAwareSelector):
-    """Rewrites ``min(max(x, lo), hi)`` into ``clip`` intrinsic calls.
-
-    Only the min-outer nesting is matched: ``max(min(x, hi), lo)`` is
-    *not* equivalent when lo > hi, so mapping it onto the same
-    instruction would change semantics.  Operand order inside the inner
-    ``max`` is irrelevant (max commutes), so either operand may play
-    the role of x.
-    """
+class ClipSelector(PatternSelector):
+    """Rewrites ``min(max(x, lo), hi)`` into ``clip`` intrinsic calls."""
 
     name = "clip-idiom"
-
-    def __init__(self, processor: ProcessorDescription):
-        self.processor = processor
-
-    def _rewrite(self, expr: ir.Expr) -> ir.Expr:
-        if not isinstance(expr, ir.BinOp) or expr.op != "min":
-            return expr
-        if not isinstance(expr.type, ScalarType) or expr.type.is_complex \
-                or not expr.type.is_float:
-            return expr
-        instr = self.processor.find("clip", expr.type.kind, 1)
-        if instr is None:
-            return expr
-        for inner, hi in ((expr.left, expr.right),
-                          (expr.right, expr.left)):
-            if isinstance(inner, ir.BinOp) and inner.op == "max" and \
-                    inner.type == expr.type:
-                x, lo = inner.left, inner.right
-                self._select(instr, "clip idiom min(max(x, lo), hi)")
-                return ir.IntrinsicCall(expr.type, instruction=instr,
-                                        args=[x, lo, hi])
-        return expr

@@ -18,20 +18,15 @@ retargetable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.asip.model import ProcessorDescription
 from repro.ir import nodes as ir
 from repro.ir.passes.rewrite import assigned_vars, names_read, stored_arrays
 from repro.ir.types import I32, ScalarKind, ScalarType, VectorType
 from repro.observe import remarks as obs_remarks
+from repro.vectorize.select import candidates, pattern_index
 
-
-@dataclass
-class _LoopInfo:
-    loop: ir.ForRange
-    elem: ScalarType
-    lanes: int
+#: The lane-op rows of the pattern table, by root class and op.
+_LANE_ROWS = pattern_index("simd-vectorize")
 
 
 class SimdVectorizer:
@@ -443,56 +438,23 @@ class SimdVectorizer:
                 return None
             return self._splat(ir.clone(expr), elem, lanes)
 
+        for row in candidates(_LANE_ROWS, expr):
+            if not row.elem(elem):
+                continue
+            instr = self.processor.find(row.operation, elem.kind, lanes)
+            if instr is None:
+                return None
+            args = []
+            for operand in row.operands(expr):
+                vector = self._vectorize_expr(operand, var, elem, lanes,
+                                              vector_temps)
+                if vector is None:
+                    return None
+                args.append(vector)
+            return ir.IntrinsicCall(vtype, instruction=instr, args=args)
         if isinstance(expr, ir.BinOp):
-            from repro.vectorize.select import SIMD_BINOPS
-            operation = SIMD_BINOPS.get(expr.op)
-            if operation is None:
-                return None
-            instr = self.processor.find(operation, elem.kind, lanes)
-            if instr is None:
-                return None
-            left = self._vectorize_expr(expr.left, var, elem, lanes,
-                                        vector_temps)
-            if left is None:
-                return None
-            right = self._vectorize_expr(expr.right, var, elem, lanes,
-                                         vector_temps)
-            if right is None:
-                return None
-            return ir.IntrinsicCall(vtype, instruction=instr,
-                                    args=[left, right])
-
-        if isinstance(expr, ir.UnOp) and expr.op == "neg":
-            instr = self.processor.find("vneg", elem.kind, lanes)
-            if instr is None:
-                return None
-            operand = self._vectorize_expr(expr.operand, var, elem, lanes,
-                                           vector_temps)
-            if operand is None:
-                return None
-            return ir.IntrinsicCall(vtype, instruction=instr, args=[operand])
-
-        if isinstance(expr, ir.MathCall) and expr.name == "abs" and \
-                not elem.is_complex:
-            instr = self.processor.find("vabs", elem.kind, lanes)
-            if instr is None:
-                return None
-            operand = self._vectorize_expr(expr.args[0], var, elem, lanes,
-                                           vector_temps)
-            if operand is None:
-                return None
-            return ir.IntrinsicCall(vtype, instruction=instr, args=[operand])
-
-        if isinstance(expr, ir.MathCall) and expr.name == "conj" and \
-                elem.is_complex:
-            instr = self.processor.find("vconj", elem.kind, lanes)
-            if instr is None:
-                return None
-            operand = self._vectorize_expr(expr.args[0], var, elem, lanes,
-                                           vector_temps)
-            if operand is None:
-                return None
-            return ir.IntrinsicCall(vtype, instruction=instr, args=[operand])
+            # No lane op: not even an invariant BinOp is splatted.
+            return None
 
         # Loop-invariant scalar subexpression of the right type: splat it.
         if isinstance(expr.type, ScalarType) and expr.type == elem and \

@@ -5,7 +5,8 @@ fields; ``walk_expr``, ``statement_exprs``, the rewriters and
 ``ir.clone`` all read them.  These tests check that the tables cover
 every node class and field, that the table-driven walks visit exactly
 what a hand-written recursion visits over the whole benchmark corpus,
-and that ``ir.clone`` copies structure while sharing immutable leaves.
+that ``ir.clone`` copies structure while sharing immutable leaves, and
+that the lowered IR is a tree.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from repro.asip.model import Instruction
 from repro.compiler import CompilerOptions, compile_source
+from repro.fuzz.reducer import load_reproducer
 from repro.frontend.parser import parse
 from repro.frontend.source import SourceFile
 from repro.ir import nodes as ir
@@ -29,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import default_workloads  # noqa: E402
 
 KERNELS = {kernel.name: kernel for kernel in default_workloads()}
+CORPUS = Path(__file__).parent / "fuzz_corpus"
 
 
 def _subclasses(base: type) -> set[type]:
@@ -239,3 +242,43 @@ def test_clone_copies_call_name_lists_and_single_nodes():
     assert copy.args[0] is not call.args[0] and copy.args[1] == "arr"
     expr = ir.Load(F64, array="a", index=call.args[0])
     assert ir.clone(expr) == expr and ir.clone(expr).index is not expr.index
+
+
+# ----------------------------------------------------------------------
+# The lowered IR is a tree
+# ----------------------------------------------------------------------
+
+
+def _lowering_programs():
+    """(label, source, entry, args) of the ten kernels and the
+    compile-mode fuzz corpus."""
+    for kernel in KERNELS.values():
+        yield kernel.name, kernel.source, kernel.entry, kernel.arg_types
+    for path in sorted(CORPUS.glob("*.m")):
+        program, _ = load_reproducer(CORPUS, path.stem)
+        if program.mode == "compile":
+            yield path.stem, program.source, program.entry, \
+                program.arg_specs()
+
+
+def test_lowered_ir_shares_no_node():
+    # The in-place rewriters (pattern selection, renaming, folding)
+    # visit a node once per parent; a node with two parents would take
+    # an edit meant for one of them in both.
+    programs = 0
+    for label, source, entry, args in _lowering_programs():
+        sprog = specialize_program(parse(source, "<string>"), entry,
+                                   list(args), SourceFile(source, "<string>"))
+        for mode in ("naive", "fused"):
+            seen: set[int] = set()
+            for func in lower_program(sprog, mode=mode).functions:
+                for stmt in ir.walk_statements(func.body):
+                    assert id(stmt) not in seen, (label, mode, stmt)
+                    seen.add(id(stmt))
+                    for expr in ir.statement_exprs(stmt):
+                        for node in ir.walk_expr(expr):
+                            assert id(node) not in seen, \
+                                (label, mode, func.name, stmt.line, node)
+                            seen.add(id(node))
+        programs += 1
+    assert programs > len(KERNELS)
