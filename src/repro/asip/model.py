@@ -26,14 +26,14 @@ from repro.ir.types import ScalarKind
 #: SIMD:     vload vstore vadd vsub vmul vdiv vmac vsplat vredadd vredmin
 #:           vredmax vmin vmax vabs vneg
 #: Complex:  cadd csub cmul cmac cconj cmag2
-#: Scalar:   mac sat_add clip
+#: Scalar:   mac clip
 KNOWN_OPERATIONS = frozenset(
     {
         "vload", "vloadr", "vstore", "vadd", "vsub", "vmul", "vdiv", "vmac",
         "vsplat", "vredadd", "vredmin", "vredmax", "vmin", "vmax", "vabs",
         "vneg", "vconj",
         "cadd", "csub", "cmul", "cmac", "cconj", "cmag2",
-        "mac", "sat_add", "clip",
+        "mac", "clip",
     }
 )
 

@@ -24,7 +24,3 @@ def complex_helper_prefix(kind: ScalarKind) -> str:
     if kind is ScalarKind.C128:
         return "asip_c128"
     raise BackendError(f"{kind} is not a complex kind")
-
-
-def is_f32(ir_type: IRType) -> bool:
-    return isinstance(ir_type, ScalarType) and ir_type.kind is ScalarKind.F32

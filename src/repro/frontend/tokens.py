@@ -122,9 +122,6 @@ class Token:
     value: object = None
     space_before: bool = False
 
-    def is_keyword(self) -> bool:
-        return self.kind.name.startswith("KW_")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         val = f", value={self.value!r}" if self.value is not None else ""
         return f"Token({self.kind.name}, {self.text!r}{val})"

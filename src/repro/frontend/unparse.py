@@ -30,11 +30,6 @@ def to_source(node: "ast.Program | ast.Function | ast.Stmt") -> str:
     return _stmt(node, 0)
 
 
-def expr_source(expr: ast.Expr) -> str:
-    """Render one expression (without statement terminator)."""
-    return _expr(expr)
-
-
 # ----------------------------------------------------------------------
 # Top level
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ Two modes:
   preallocated arrays, scalar/vector/matrix arithmetic, ranges,
   ``end``-relative indexing, for/while/if/switch, user-defined
   subfunctions (single- and multi-return, called with scalar and
-  matrix arguments), the builtin and library inventory shared by the
-  inferencer and the interpreter.
+  matrix arguments), row and column slices ``m(k, :)`` and ``m(:, k)``
+  of matrices (as operands and as subfunction arguments), the builtin
+  and library inventory shared by the inferencer and the interpreter.
 * ``interp`` — additionally exercises the golden interpreter's more
   permissive features that never reach codegen: growth-by-assignment
   (``g = []; g(k) = ...``), logical indexing, anonymous functions, and
@@ -735,7 +736,11 @@ class ProgramGenerator:
         subfunction and build matching arguments."""
         rng = self.rng
         donors = [i for i in self.env.values() if not i.is_scalar]
-        shape = rng.choice([(1, 1)] + [i.shape for i in donors]) \
+        # A matrix donor also offers its row and column shapes, so that
+        # its slices m(k, :) and m(:, k) can become arguments.
+        slices = [shape for i in donors if i.rows > 1 and i.cols > 1
+                  for shape in ((1, i.cols), (i.rows, 1))]
+        shape = rng.choice([(1, 1)] + [i.shape for i in donors] + slices) \
             if donors else rng.choice([(1, 1), (1, rng.randint(2, 5))])
         dtype = "single" if rng.random() < 0.1 else "double"
         args, arg_infos = [], []
@@ -1089,6 +1094,17 @@ class ProgramGenerator:
                 candidates.append((
                     slice_expr,
                     Info(1, cols, info.dtype, info.is_complex,
+                         info.exact)))
+            if info.rows > 1 and info.cols > 1 and \
+                    shape in ((1, info.cols), (info.rows, 1)):
+                # A whole row m(k, :) or column m(:, k) of a matrix.
+                colon = ast.ColonAll(span=_SPAN)
+                subs = [self._gen_subscript(info.rows), colon] \
+                    if rows == 1 else [colon, self._gen_subscript(info.cols)]
+                candidates.append((
+                    ast.CallIndex(span=_SPAN, target=_name(name),
+                                  args=subs),
+                    Info(rows, cols, info.dtype, info.is_complex,
                          info.exact)))
 
         if scalar and not want_complex:

@@ -10,7 +10,7 @@ operands dead in the next round.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import read_outside_loop
+from repro.ir.passes.rewrite import read_outside_loop, used_vars
 
 
 class DeadCodeElimination:
@@ -25,12 +25,20 @@ class DeadCodeElimination:
         live_arrays = loaded | keep
 
         self._func_body = func.body
+        self._readers: dict[str, list[ir.Stmt]] | None = None
+        self._removed: set[int] = set()
         changed = self._sweep(func.body, live_scalars, live_arrays)
 
         # Drop locals that no statement mentions any more.  The sweep
         # only removes statements, so every name still read is in a
-        # live set already: only the written names need a look.
+        # live set already: only the written names need a look.  When
+        # the sweep built the reader map, a name whose every reader was
+        # swept (a dead loop's induction variable) is read no more.
         written = _writes(func.body)
+        if self._readers is not None:
+            live_scalars = live_scalars - {
+                name for name, tops in self._readers.items()
+                if all(id(top) in self._removed for top in tops)}
         for name in list(func.locals):
             if name in keep:
                 continue
@@ -66,6 +74,7 @@ class DeadCodeElimination:
                         not stmt.else_body:
                     remove = True
             if remove:
+                self._removed.add(id(stmt))
                 del body[index]
                 changed = True
             else:
@@ -97,9 +106,21 @@ class DeadCodeElimination:
                 return False
             if isinstance(stmt, ir.AssignVar) and stmt.name in live_scalars:
                 return False
-        # Only now the whole-function walk: almost every loop writes
-        # something live and has already been kept above.
-        return not read_outside_loop(self._func_body, loop, loop.var)
+        # Only now the escape walk: almost every loop writes something
+        # live and has already been kept above.  It visits only the
+        # top-level statements that read the variable and are still in
+        # the body, so its cost does not grow with the loops that die.
+        return not read_outside_loop(self._live_readers(loop.var), loop,
+                                     loop.var)
+
+    def _live_readers(self, name: str) -> list[ir.Stmt]:
+        """The top-level statements still in the body whose tree reads
+        scalar ``name``; the map is built once per run, when first
+        needed, and the sweep only removes statements."""
+        if self._readers is None:
+            self._readers = _top_level_readers(self._func_body)
+        return [stmt for stmt in self._readers.get(name, ())
+                if id(stmt) not in self._removed]
 
 
 def _reads(body: list[ir.Stmt]) -> tuple[set[str], set[str]]:
@@ -118,6 +139,16 @@ def _reads(body: list[ir.Stmt]) -> tuple[set[str], set[str]]:
         elif isinstance(stmt, ir.Call):
             loaded.update(a for a in stmt.args if isinstance(a, str))
     return used, loaded
+
+
+def _top_level_readers(body: list[ir.Stmt]) -> dict[str, list[ir.Stmt]]:
+    """For each scalar name, the statements of ``body`` (top level)
+    whose tree reads it."""
+    readers: dict[str, list[ir.Stmt]] = {}
+    for top in body:
+        for name in used_vars([top]):
+            readers.setdefault(name, []).append(top)
+    return readers
 
 
 def _writes(body: list[ir.Stmt]) -> set[str]:

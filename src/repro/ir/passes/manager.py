@@ -98,14 +98,19 @@ def standard_pipeline() -> PassManager:
     inside loop bodies that would hide the store/reduction patterns the
     SIMD vectorizer matches.  CSE belongs in :func:`cleanup_pipeline`,
     which runs after instruction selection.
+
+    Slice forwarding runs first, while the gather nests of inlined
+    slice arguments are still in the lowerer's shape.
     """
     from repro.ir.passes.constant_folding import ConstantFolding
     from repro.ir.passes.dce import DeadCodeElimination
     from repro.ir.passes.licm import LoopInvariantCodeMotion
     from repro.ir.passes.loop_fusion import LoopFusion
     from repro.ir.passes.propagation import ConstantPropagation
+    from repro.ir.passes.slice_forwarding import SliceForwarding
 
     return PassManager(passes=[
+        SliceForwarding(),
         ConstantPropagation(),
         ConstantFolding(),
         LoopFusion(),

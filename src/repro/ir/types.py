@@ -49,12 +49,6 @@ class ScalarKind(enum.Enum):
             return ScalarKind.F64
         return self
 
-    @property
-    def complex_kind(self) -> "ScalarKind":
-        if self in (ScalarKind.F32, ScalarKind.C64):
-            return ScalarKind.C64
-        return ScalarKind.C128
-
 
 # Built once: a tuple literal in the properties would look every member
 # up again on each call.

@@ -45,10 +45,6 @@ class _ReturnFunction(Exception):
     pass
 
 
-class _MatlabRuntimeError(InterpreterError):
-    """Raised by the error() builtin."""
-
-
 @dataclass
 class _AnonValue:
     """A first-class anonymous function value."""

@@ -80,11 +80,6 @@ class SpecializedFunction:
     #: id(If stmt) -> statically selected branch index (-1 = else body).
     static_branches: dict[int, int] = field(default_factory=dict)
 
-    def type_of(self, node: ast.Expr) -> MType:
-        """The single inferred type of an expression node."""
-        types = self.node_types[id(node)]
-        return types[0]
-
 
 @dataclass
 class SpecializedProgram:

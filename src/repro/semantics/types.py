@@ -54,23 +54,9 @@ class DType(enum.Enum):
         return self if self.value >= other.value else other
 
     @property
-    def c_name(self) -> str:
-        return _C_NAMES[self]
-
-    @property
     def short_name(self) -> str:
         return _SHORT_NAMES[self]
 
-
-_C_NAMES = {
-    DType.CHAR: "char",
-    DType.LOGICAL: "int",
-    DType.INT8: "signed char",
-    DType.INT16: "short",
-    DType.INT32: "int",
-    DType.SINGLE: "float",
-    DType.DOUBLE: "double",
-}
 
 _SHORT_NAMES = {
     DType.CHAR: "char",
@@ -135,10 +121,6 @@ class MType:
     @property
     def is_vector(self) -> bool:
         return self.shape.is_vector
-
-    @property
-    def is_constant(self) -> bool:
-        return self.value is not None
 
     # -- derived types ---------------------------------------------------
 

@@ -233,16 +233,6 @@ class CompileService:
                            wall_origin=wall_origin, workers=self.workers,
                            rebuilds=rebuilds)
 
-    def compile_sources(self, sources: "list[tuple[str, list[str]]]",
-                        **job_fields) -> BatchResult:
-        """Convenience wrapper: ``(source, arg_specs)`` pairs -> batch."""
-        from repro.service.jobs import next_job_id
-
-        jobs = [CompileJob(job_id=next_job_id(), source=source,
-                           args=list(args), **job_fields)
-                for source, args in sources]
-        return self.compile_batch(jobs)
-
     # -- internals ------------------------------------------------------
 
     def _with_default_timeout(self, job: CompileJob) -> CompileJob:

@@ -27,6 +27,13 @@ def test_instruction_validation_unknown_operation():
                     elem=ScalarKind.F64, lanes=4, cycles=1, intrinsic="i")
 
 
+def test_instruction_rejects_sat_add():
+    # No selector pattern emits it and the simulator cannot run it.
+    with pytest.raises(IsaError, match="unknown operation"):
+        Instruction(name="sat", operation="sat_add",
+                    elem=ScalarKind.I32, lanes=1, cycles=1, intrinsic="i")
+
+
 def test_instruction_validation_bad_lanes_and_cycles():
     with pytest.raises(IsaError, match="lanes"):
         Instruction(name="x", operation="vadd", elem=ScalarKind.F64,

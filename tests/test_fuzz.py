@@ -9,6 +9,7 @@ all since fixed) must agree across engines.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,16 @@ def test_interp_mode_uses_growth_features():
     sources = "".join(ProgramGenerator(s, mode="interp").generate().source
                       for s in range(40))
     assert "[]" in sources  # growth-from-empty appears somewhere
+
+
+def test_compile_mode_reads_matrix_rows_and_columns():
+    """Whole rows ``m(k, :)`` and columns ``m(:, k)`` of matrices appear
+    as operands and as subfunction arguments."""
+    slice_ = r"\b[vp]\d+\(([^():,]+, :|:, [^():,]+)\)"
+    sources = [ProgramGenerator(s).generate().source for s in range(40)]
+    assert any(re.search(r"\b[vp]\d+\([^():,]+, :\)", s) for s in sources)
+    assert any(re.search(r"\b[vp]\d+\(:, [^():,]+\)", s) for s in sources)
+    assert any(re.search(r"\bsf\d+\([^\n]*" + slice_, s) for s in sources)
 
 
 def test_program_serialization_roundtrip():
