@@ -996,8 +996,11 @@ class ProgramGenerator:
         options = ["zeros", "ones", "literal", "transpose"]
         if rows == 1 and cols > 1:
             options += ["range", "linspace"]
+        # Shape calls are only asked for real results, so a complex
+        # donor would hand back a complex value labelled real.
         donors = [n for n, i in self.env.items()
-                  if i.numel == rows * cols and i.shape != shape]
+                  if i.numel == rows * cols and i.shape != shape
+                  and not i.is_complex]
         if donors:
             options.append("reshape")
         picked = rng.choice(options)

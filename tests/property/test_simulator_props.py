@@ -27,6 +27,8 @@ from repro.sim.cost import CATEGORIES, CostModel
 @settings(max_examples=30, deadline=None)
 # Squares a single array in a loop until its elements overflow to Inf.
 @example(seed=213287)
+# Reshapes a complex parameter inside a call that wants a real operand.
+@example(seed=158258)
 def test_cycle_report_accounts_for_every_cycle(seed):
     program = ProgramGenerator(seed).generate()
     try:
