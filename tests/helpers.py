@@ -153,3 +153,24 @@ def assert_cycles_pinned(name: str, source: str, run) -> None:
         f"{name}: the pinned source differs from the test's"
     fields = report_fields(run)
     assert fields == {key: record["report"][key] for key in fields}, name
+
+
+def pinned_processors() -> list[ProcessorDescription]:
+    """The 66 processors whose intrinsics headers are pinned.
+
+    The three shipped targets, the width family ``simd_dsp_w1`` ..
+    ``simd_dsp_w64``, the 48 candidates of the default design space
+    and the 8 of ``benchmarks/dse_smoke_space.json`` (which are also
+    default candidates: 58 distinct names).
+    """
+    from repro.asip.isa_library import (available_processors,
+                                        load_processor, simd_dsp_with_width)
+    from repro.dse.space import DEFAULT_SPACE, load_space
+
+    found = [load_processor(name) for name in available_processors()]
+    found += [simd_dsp_with_width(1 << k) for k in range(7)]
+    smoke = Path(__file__).parent.parent / "benchmarks" / \
+        "dse_smoke_space.json"
+    for space in (DEFAULT_SPACE, load_space(str(smoke))):
+        found += [point.processor() for point in space.enumerate()]
+    return found
