@@ -7,7 +7,8 @@ This module renders, for one :class:`ProcessorDescription`:
 
 * complex-number struct types and helper routines,
 * SIMD vector struct types for every (element, lanes) the ISA uses,
-* a portable ANSI C implementation of every intrinsic, so host
+* a portable ANSI C implementation of every intrinsic, printed from
+  its operation's record in :mod:`repro.asip.operations`, so host
   compilation with any C compiler is functional — on the real ASIP the
   vendor toolchain would map the same calls onto hardware instructions.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 
 from repro.asip.model import Instruction, ProcessorDescription
+from repro.asip.operations import OPERATIONS
 from repro.ir.types import ScalarKind
 
 _C_ELEM = {
@@ -144,206 +146,46 @@ def _vector_typedefs(pairs: list[tuple[ScalarKind, int]]) -> list[str]:
     return lines
 
 
-def _binary_lane_op(instr: Instruction, expr: str) -> list[str]:
-    vt = vector_type_name(instr.elem, instr.lanes)
-    return [
-        f"static {vt} {instr.intrinsic}({vt} a, {vt} b)",
-        "{",
-        f"    {vt} r; int i;",
-        f"    for (i = 0; i < {instr.lanes}; ++i) r.v[i] = {expr};",
-        "    return r;",
-        "}",
-    ]
+_LANE_LOOP = ("{{\n"
+              "    {vt} r; int i;\n"
+              "    for (i = 0; i < {lanes}; ++i) r.v[i] = {expr};\n"
+              "    return r;\n"
+              "}}")
+
+#: Per function shape: the C type of each parameter (the last one
+#: repeats), the return type and the body around the fallback's
+#: expression.
+_SHAPES = {
+    "load": (("const {elem} *",), "{vt}", _LANE_LOOP),
+    "splat": (("{elem} ",), "{vt}", _LANE_LOOP),
+    "lanewise": (("{vt} ",), "{vt}", _LANE_LOOP),
+    "store": (("{elem} *", "{vt} "), "void",
+              "{{\n"
+              "    int i;\n"
+              "    for (i = 0; i < {lanes}; ++i) p[i] = {expr};\n"
+              "}}"),
+    "reduce": (("{vt} ",), "{result}",
+               "{{\n"
+               "    {elem} r = a.v[0]; int i;\n"
+               "    for (i = 1; i < {lanes}; ++i) r = {expr};\n"
+               "    return r;\n"
+               "}}"),
+    "scalar": (("{elem} ",), "{result}", "{{ return {expr}; }}"),
+}
 
 
-def _complex_lane_binop(instr: Instruction, helper: str) -> list[str]:
-    vt = vector_type_name(instr.elem, instr.lanes)
-    return [
-        f"static {vt} {instr.intrinsic}({vt} a, {vt} b)",
-        "{",
-        f"    {vt} r; int i;",
-        f"    for (i = 0; i < {instr.lanes}; ++i) "
-        f"r.v[i] = {helper}(a.v[i], b.v[i]);",
-        "    return r;",
-        "}",
-    ]
-
-
-def _render_instruction(instr: Instruction) -> list[str]:
-    elem = c_elem_name(instr.elem)
-    lanes = instr.lanes
-    vt = vector_type_name(instr.elem, lanes) if lanes > 1 else elem
-    op = instr.operation
-    complex_elem = instr.elem.is_complex
-    helper_prefix = "asip_c64" if instr.elem is ScalarKind.C64 else \
-        "asip_c128"
-
-    if op == "vload":
-        return [
-            f"static {vt} {instr.intrinsic}(const {elem} *p)",
-            "{",
-            f"    {vt} r; int i;",
-            f"    for (i = 0; i < {lanes}; ++i) r.v[i] = p[i];",
-            "    return r;",
-            "}",
-        ]
-    if op == "vloadr":
-        return [
-            f"static {vt} {instr.intrinsic}(const {elem} *p)",
-            "{",
-            f"    {vt} r; int i;",
-            f"    for (i = 0; i < {lanes}; ++i) "
-            f"r.v[i] = p[{lanes} - 1 - i];",
-            "    return r;",
-            "}",
-        ]
-    if op == "vstore":
-        return [
-            f"static void {instr.intrinsic}({elem} *p, {vt} a)",
-            "{",
-            "    int i;",
-            f"    for (i = 0; i < {lanes}; ++i) p[i] = a.v[i];",
-            "}",
-        ]
-    if op == "vsplat":
-        return [
-            f"static {vt} {instr.intrinsic}({elem} x)",
-            "{",
-            f"    {vt} r; int i;",
-            f"    for (i = 0; i < {lanes}; ++i) r.v[i] = x;",
-            "    return r;",
-            "}",
-        ]
-    if op in ("vadd", "vsub", "vmul", "vdiv", "vmin", "vmax"):
-        if complex_elem:
-            if op in ("vadd", "vsub", "vmul", "vdiv"):
-                helper = {"vadd": "add", "vsub": "sub", "vmul": "mul",
-                          "vdiv": "div"}[op]
-                return _complex_lane_binop(instr, f"{helper_prefix}_{helper}")
-            return []  # no complex vmin/vmax
-        expr = {
-            "vadd": "a.v[i] + b.v[i]",
-            "vsub": "a.v[i] - b.v[i]",
-            "vmul": "a.v[i] * b.v[i]",
-            "vdiv": "a.v[i] / b.v[i]",
-            "vmin": "a.v[i] < b.v[i] ? a.v[i] : b.v[i]",
-            "vmax": "a.v[i] > b.v[i] ? a.v[i] : b.v[i]",
-        }[op]
-        return _binary_lane_op(instr, expr)
-    if op == "vmac":
-        if complex_elem:
-            return [
-                f"static {vt} {instr.intrinsic}({vt} acc, {vt} a, {vt} b)",
-                "{",
-                f"    {vt} r; int i;",
-                f"    for (i = 0; i < {lanes}; ++i) "
-                f"r.v[i] = {helper_prefix}_add(acc.v[i], "
-                f"{helper_prefix}_mul(a.v[i], b.v[i]));",
-                "    return r;",
-                "}",
-            ]
-        return [
-            f"static {vt} {instr.intrinsic}({vt} acc, {vt} a, {vt} b)",
-            "{",
-            f"    {vt} r; int i;",
-            f"    for (i = 0; i < {lanes}; ++i) "
-            "r.v[i] = acc.v[i] + a.v[i] * b.v[i];",
-            "    return r;",
-            "}",
-        ]
-    if op == "vconj":
-        if not complex_elem:
-            return []
-        return [
-            f"static {vt} {instr.intrinsic}({vt} a)",
-            "{",
-            f"    {vt} r; int i;",
-            f"    for (i = 0; i < {lanes}; ++i) "
-            f"r.v[i] = {helper_prefix}_conj(a.v[i]);",
-            "    return r;",
-            "}",
-        ]
-    if op == "vneg" and complex_elem:
-        return [
-            f"static {vt} {instr.intrinsic}({vt} a)",
-            "{",
-            f"    {vt} r; int i;",
-            f"    for (i = 0; i < {lanes}; ++i) "
-            f"r.v[i] = {helper_prefix}_neg(a.v[i]);",
-            "    return r;",
-            "}",
-        ]
-    if op in ("vabs", "vneg"):
-        if complex_elem:
-            return []
-        fn = "-(a.v[i])" if op == "vneg" else (
-            "fabs(a.v[i])" if instr.elem is ScalarKind.F64 else
-            "(float)fabs((double)a.v[i])" if instr.elem is ScalarKind.F32
-            else "a.v[i] < 0 ? -a.v[i] : a.v[i]")
-        return [
-            f"static {vt} {instr.intrinsic}({vt} a)",
-            "{",
-            f"    {vt} r; int i;",
-            f"    for (i = 0; i < {lanes}; ++i) r.v[i] = {fn};",
-            "    return r;",
-            "}",
-        ]
-    if op in ("vredadd", "vredmin", "vredmax"):
-        if complex_elem:
-            if op != "vredadd":
-                return []
-            return [
-                f"static {elem} {instr.intrinsic}({vt} a)",
-                "{",
-                f"    {elem} r = a.v[0]; int i;",
-                f"    for (i = 1; i < {lanes}; ++i) "
-                f"r = {helper_prefix}_add(r, a.v[i]);",
-                "    return r;",
-                "}",
-            ]
-        combine = {
-            "vredadd": "r = r + a.v[i]",
-            "vredmin": "r = a.v[i] < r ? a.v[i] : r",
-            "vredmax": "r = a.v[i] > r ? a.v[i] : r",
-        }[op]
-        return [
-            f"static {elem} {instr.intrinsic}({vt} a)",
-            "{",
-            f"    {elem} r = a.v[0]; int i;",
-            f"    for (i = 1; i < {lanes}; ++i) {combine};",
-            "    return r;",
-            "}",
-        ]
-    if op == "cadd":
-        return [f"static {elem} {instr.intrinsic}({elem} a, {elem} b)",
-                f"{{ return {helper_prefix}_add(a, b); }}"]
-    if op == "csub":
-        return [f"static {elem} {instr.intrinsic}({elem} a, {elem} b)",
-                f"{{ return {helper_prefix}_sub(a, b); }}"]
-    if op == "cmul":
-        return [f"static {elem} {instr.intrinsic}({elem} a, {elem} b)",
-                f"{{ return {helper_prefix}_mul(a, b); }}"]
-    if op == "cmac":
-        return [f"static {elem} {instr.intrinsic}({elem} x, {elem} a, "
-                f"{elem} b)",
-                f"{{ return {helper_prefix}_add(x, "
-                f"{helper_prefix}_mul(a, b)); }}"]
-    if op == "cconj":
-        return [f"static {elem} {instr.intrinsic}({elem} a)",
-                f"{{ return {helper_prefix}_conj(a); }}"]
-    if op == "cmag2":
-        real = "float" if instr.elem is ScalarKind.C64 else "double"
-        return [f"static {real} {instr.intrinsic}({elem} a)",
-                "{ return a.re * a.re + a.im * a.im; }"]
-    if op == "mac":
-        return [f"static {elem} {instr.intrinsic}({elem} x, {elem} a, "
-                f"{elem} b)",
-                "{ return x + a * b; }"]
-    if op == "clip":
-        return [f"static {elem} {instr.intrinsic}({elem} x, {elem} lo, "
-                f"{elem} hi)",
-                "{ return x < lo ? lo : (x > hi ? hi : x); }"]
-    return [f"/* {instr.name}: no portable fallback */"]
+def _render_instruction(instr: Instruction) -> str:
+    """The C fallback of ``instr``, printed from its operation's record."""
+    op = OPERATIONS[instr.operation]
+    types, result, body = _SHAPES[op.shape]
+    params = ", ".join(types[min(k, len(types) - 1)] + name
+                       for k, name in enumerate(op.params))
+    names = {"elem": c_elem_name(instr.elem), "lanes": instr.lanes,
+             "vt": vector_type_name(instr.elem, instr.lanes),
+             "result": c_elem_name(op.result_kind(instr.elem))}
+    expr = op.c_expr(instr.elem).format(**names)
+    return (f"static {result} {{fn}}({params})\n{body}"
+            .format(fn=instr.intrinsic, expr=expr, **names))
 
 
 @functools.lru_cache(maxsize=32)
@@ -364,11 +206,9 @@ def generate_header(processor: ProcessorDescription) -> str:
     lines.append(f"/* ---- custom instructions of {processor.name} ---- */")
     lines.append("")
     for instr in processor.instructions:
-        rendered = _render_instruction(instr)
-        if rendered:
-            lines.append(f"/* {instr.name}: {instr.description} "
-                         f"({instr.cycles} cycles) */")
-            lines.extend(rendered)
-            lines.append("")
+        lines.append(f"/* {instr.name}: {instr.description} "
+                     f"({instr.cycles} cycles) */")
+        lines.append(_render_instruction(instr))
+        lines.append("")
     lines.append("#endif /* REPRO_ASIP_INTRINSICS_H */")
     return "\n".join(lines)

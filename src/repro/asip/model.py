@@ -4,14 +4,18 @@ The paper's compiler is retargetable: "the proposed compiler allows the
 description of the specialized instruction set of the target processor in
 a parameterized way allowing the support of any processor".  This module
 is that parameterization: a :class:`ProcessorDescription` lists the
-target's custom instructions (:class:`Instruction`) with their semantics
+target's custom instructions (:class:`Instruction`) with their operation
 tag, element kind, SIMD lane count, cycle cost and intrinsic name, plus a
 :class:`CostTable` for the plain scalar datapath.
 
+What an operation tag means is one record of
+:data:`repro.asip.operations.OPERATIONS`: an instruction is valid when
+its record defines the operation on its element kind and lane count.
 The instruction-selection stage (:mod:`repro.vectorize`) queries the
 description for the operations it wants to emit; the C backend prints
-matched instructions as intrinsic function calls; the cycle simulator
-charges their costs.
+matched instructions as intrinsic function calls, whose fallbacks the
+header generator prints from the records; the cycle simulator runs the
+records' code templates and charges the instructions' costs.
 """
 
 from __future__ import annotations
@@ -19,26 +23,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from repro.asip.operations import OPERATIONS
 from repro.errors import IsaError
 from repro.ir.types import ScalarKind
-
-#: Operation tags understood by the instruction selector.
-#: SIMD:     vload vstore vadd vsub vmul vdiv vmac vsplat vredadd vredmin
-#:           vredmax vmin vmax vabs vneg
-#: Complex:  cadd csub cmul cmac cconj cmag2
-#: Scalar:   mac clip
-KNOWN_OPERATIONS = frozenset(
-    {
-        "vload", "vloadr", "vstore", "vadd", "vsub", "vmul", "vdiv", "vmac",
-        "vsplat", "vredadd", "vredmin", "vredmax", "vmin", "vmax", "vabs",
-        "vneg", "vconj",
-        "cadd", "csub", "cmul", "cmac", "cconj", "cmag2",
-        "mac", "clip",
-    }
-)
-
-#: Operations whose result element kind is the *real* component kind.
-REAL_RESULT_OPERATIONS = frozenset({"cmag2"})
 
 
 @dataclass(frozen=True)
@@ -47,7 +34,8 @@ class Instruction:
 
     Attributes:
         name: ISA-level mnemonic, unique within a processor.
-        operation: semantic tag from :data:`KNOWN_OPERATIONS`.
+        operation: operation tag, a key of
+            :data:`~repro.asip.operations.OPERATIONS`.
         elem: element kind the instruction operates on.
         lanes: SIMD lane count (1 for scalar/complex-scalar instructions).
         cycles: issue-to-result cost charged by the simulator.
@@ -64,7 +52,8 @@ class Instruction:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.operation not in KNOWN_OPERATIONS:
+        op = OPERATIONS.get(self.operation)
+        if op is None:
             raise IsaError(
                 f"instruction {self.name!r}: unknown operation "
                 f"{self.operation!r}")
@@ -72,14 +61,16 @@ class Instruction:
             raise IsaError(f"instruction {self.name!r}: lanes must be >= 1")
         if self.cycles < 1:
             raise IsaError(f"instruction {self.name!r}: cycles must be >= 1")
-
-    @property
-    def is_simd(self) -> bool:
-        return self.lanes > 1
-
-    @property
-    def is_complex(self) -> bool:
-        return self.elem.is_complex
+        if op.c_expr(self.elem) is None:
+            raise IsaError(
+                f"instruction {self.name!r}: {self.operation} is not "
+                f"defined on {self.elem.value} elements")
+        scalar = op.shape == "scalar"
+        if scalar != (self.lanes == 1):
+            raise IsaError(
+                f"instruction {self.name!r}: {self.operation} needs "
+                f"{'lanes == 1' if scalar else 'lanes > 1'}, got "
+                f"{self.lanes}")
 
 
 @dataclass(frozen=True)
@@ -222,16 +213,6 @@ class ProcessorDescription:
             if all(self.find(op, elem, lanes) for op in needed):
                 usable.append(lanes)
         return usable
-
-    def best_simd_width(self, elem: ScalarKind) -> int | None:
-        widths = self.simd_lanes(elem)
-        return widths[0] if widths else None
-
-    def has_complex_arith(self, elem: ScalarKind) -> bool:
-        """Does the target provide scalar complex-arithmetic instructions?"""
-        if not elem.is_complex:
-            return False
-        return self.find("cmul", elem, 1) is not None
 
     def instruction_by_name(self, name: str) -> Instruction | None:
         for instr in self.instructions:

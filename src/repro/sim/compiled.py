@@ -85,6 +85,7 @@ from collections import Counter
 import numpy as np
 
 from repro.asip.model import ProcessorDescription
+from repro.asip.operations import BINARY_SPLATS, OPERATIONS
 from repro.errors import SimulationError
 from repro.numeric import c_pow
 from repro.ir import nodes as ir
@@ -290,26 +291,6 @@ _BASE_NS.update({f"_m_{name}": fn for name, fn in _MATH_HELPERS.items()})
 _SCALAR_OPERAND_BINOPS = frozenset(
     ("add", "sub", "mul", "div", "min", "max",
      "eq", "ne", "lt", "le", "gt", "ge"))
-_SCALAR_OPERAND_INTRINSICS = frozenset(
-    ("vadd", "vsub", "vmul", "vdiv", "vmin", "vmax"))
-
-#: The Python code of each custom-instruction operation over its
-#: operands' codes (``vsplat`` is built by ``_intrinsic_expr``).
-_INTRINSIC_CODE = {
-    "vadd": "({0} + {1})", "cadd": "({0} + {1})",
-    "vsub": "({0} - {1})", "csub": "({0} - {1})",
-    "vmul": "({0} * {1})", "cmul": "({0} * {1})",
-    "vdiv": "({0} / {1})",
-    "vmac": "({0} + {1} * {2})", "cmac": "({0} + {1} * {2})",
-    "mac": "({0} + {1} * {2})",
-    "vmin": "_npmin({0}, {1})", "vmax": "_npmax({0}, {1})",
-    "vabs": "_npabs({0})", "vneg": "(-{0})", "vconj": "_npconj({0})",
-    "vredadd": "_fromnp(_npsum({0}))",
-    "vredmin": "_fromnp(_npamin({0}))",
-    "vredmax": "_fromnp(_npamax({0}))",
-    "cconj": "({0}).conjugate()", "cmag2": "_cmag2({0})",
-    "clip": "min(max({0}, {1}), {2})",
-}
 
 _COMPARISONS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
                 "ge": ">="}
@@ -321,21 +302,18 @@ def _is_splat(expr: ir.Expr) -> bool:
         and expr.instruction.operation == "vsplat")
 
 
-def _scalar_operands(op: str, args: list[ir.Expr]) -> list[bool]:
-    """Which operands of vector op ``op`` are splats that may read as
-    dtype scalars.
+def _scalar_operands(rule: tuple, args: list[ir.Expr]) -> list[bool]:
+    """Which operands of a vector op are splats that may read as dtype
+    scalars, by the op's ``Operation.splats`` ``rule``.
 
     Every numpy operation the op performs must keep one array operand,
-    or its result would be a scalar instead of a vector."""
+    or its result would be a scalar instead of a vector: operand k reads
+    as a scalar only while one of ``rule[k]`` stays a vector."""
+    if not rule:
+        return [False] * len(args)
     splat = [_is_splat(arg) for arg in args]
-    if op == "vmac":  # a + b * c
-        a, b, c = splat
-        return [a and not (b and c), b and not c, c and not b]
-    if len(args) == 2 and (op in _SCALAR_OPERAND_BINOPS
-                           or op in _SCALAR_OPERAND_INTRINSICS):
-        left, right = splat
-        return [left and not right, right and not left]
-    return [False] * len(args)
+    return [splat[k] and not all(splat[j] for j in vectors)
+            for k, vectors in enumerate(rule)]
 
 
 def _raises_return(body: list[ir.Stmt]) -> bool:
@@ -608,7 +586,8 @@ class _FuncCodegen:
 
         is_vector = isinstance(e.type, VectorType)
         if is_vector:
-            lcode, rcode = self._vec_operands(op, [e.left, e.right],
+            rule = BINARY_SPLATS if op in _SCALAR_OPERAND_BINOPS else ()
+            lcode, rcode = self._vec_operands(rule, [e.left, e.right],
                                               intvars, terms)
         else:
             lcode = self.expr(e.left, intvars, terms)
@@ -647,13 +626,14 @@ class _FuncCodegen:
                     bool(e.args) and self._is_complex(e.args[0]))
         return f"_m_{e.name}({', '.join(parts)})"
 
-    def _vec_operands(self, op: str, args: list[ir.Expr], intvars, terms):
+    def _vec_operands(self, rule: tuple, args: list[ir.Expr], intvars,
+                      terms):
         """Codes of the operands of a vector op, with no numpy temporary
         per operand: the op builds a fresh array, so a ``VecLoad`` reads
         as a slice view, and a splat reads as a dtype scalar wherever
         numpy can broadcast it (see ``_scalar_operands``)."""
         codes = []
-        for arg, scalar in zip(args, _scalar_operands(op, args)):
+        for arg, scalar in zip(args, _scalar_operands(rule, args)):
             if isinstance(arg, ir.VecLoad):
                 code = self._vecload_expr(arg, intvars, terms, view=True)
             elif scalar and isinstance(arg, ir.VecSplat):
@@ -705,16 +685,16 @@ class _FuncCodegen:
                         scalar: bool = False):
         """``scalar``: a vsplat operand that may read as a dtype scalar."""
         instr = e.instruction
-        op = instr.operation
-        a = self._vec_operands(op, e.args, intvars, terms)
+        op = OPERATIONS[instr.operation]
+        a = self._vec_operands(op.splats, e.args, intvars, terms)
         self.charge(terms, "intrinsic", instr.name)
-        if op == "vsplat":
+        if op.tag == "vsplat":
             splat = self._lane_scalar if scalar else self._splat_code
             return splat(e, e.args[0], a[0], intvars)
-        template = _INTRINSIC_CODE.get(op)
-        if template is None:
-            raise SimulationError(f"unknown intrinsic operation {op!r}")
-        return template.format(*a)
+        if op.sim is None:
+            raise SimulationError(
+                f"intrinsic operation {op.tag!r} is not an expression")
+        return op.sim.format(*a)
 
     # -- statements ----------------------------------------------------
 

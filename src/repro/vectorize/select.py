@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.asip.model import ProcessorDescription
+from repro.asip.operations import OPERATIONS
 from repro.ir import nodes as ir
 from repro.ir.passes.rewrite import rewrite_stmt_exprs
 from repro.ir.types import IRType, ScalarType
@@ -33,9 +34,9 @@ class Pattern:
     element-type precondition, on the root's type (on the loop's
     element type for a lane row).  ``operands`` takes the instruction's
     operands from a match, or returns None when the shape does not fit.
-    ``remark`` says what was selected; ``kind_from`` finds the
-    instruction for that operand's element kind instead of the root's
-    (``cmag2`` has a real result over a complex operand).
+    ``remark`` says what was selected.  The instruction is looked up
+    for the root's element kind, or for the first operand's when the
+    operation has a real result (``cmag2`` over a complex operand).
     """
 
     group: str
@@ -45,7 +46,6 @@ class Pattern:
     operation: str
     operands: Callable[[ir.Expr], "list[ir.Expr] | None"]
     remark: str = ""
-    kind_from: int | None = None
 
 
 # -- element-type preconditions ----------------------------------------
@@ -209,7 +209,7 @@ PATTERNS: tuple[Pattern, ...] = (
     Pattern(_COMPLEX, ir.MathCall, "conj", _complex, "cconj", _first_arg,
             "complex conjugate"),
     Pattern(_COMPLEX, ir.BinOp, "add", _real, "cmag2", _cmag2,
-            "squared magnitude real(z)^2 + imag(z)^2", kind_from=0),
+            "squared magnitude real(z)^2 + imag(z)^2"),
     Pattern("clip-idiom", ir.BinOp, "min", _real_float, "clip", _clip,
             "clip idiom min(max(x, lo), hi)"),
     Pattern("scalar-mac", ir.BinOp, "add", _real_float, "mac", _mac,
@@ -278,7 +278,8 @@ class PatternSelector:
             args = row.operands(expr)
             if args is None:
                 continue
-            kind_of = expr if row.kind_from is None else args[row.kind_from]
+            kind_of = args[0] if OPERATIONS[row.operation].real_result \
+                else expr
             instr = self.processor.find(row.operation, kind_of.type.kind, 1)
             if instr is None:
                 continue

@@ -4,7 +4,6 @@ import pytest
 
 from repro.asip.isa_library import (
     available_processors,
-    generic_scalar_dsp,
     load_processor,
     simd_dsp_with_width,
     vliw_simd_dsp,
@@ -68,16 +67,9 @@ def test_simd_lanes_requires_complete_group():
     assert processor.simd_lanes(ScalarKind.F64) == [4]
 
 
-def test_best_simd_width_widest_first():
+def test_simd_lanes_widest_first():
     processor = wide_simd_dsp()
-    assert processor.best_simd_width(ScalarKind.F64) == 8
     assert processor.simd_lanes(ScalarKind.F64) == [8, 4]
-
-
-def test_has_complex_arith():
-    assert vliw_simd_dsp().has_complex_arith(ScalarKind.C128)
-    assert not generic_scalar_dsp().has_complex_arith(ScalarKind.C128)
-    assert not vliw_simd_dsp().has_complex_arith(ScalarKind.F64)
 
 
 def test_make_simd_set_contents():
@@ -144,8 +136,16 @@ def test_instruction_by_name():
     assert processor.instruction_by_name("nope") is None
 
 
-def test_instruction_flags():
-    simd = make_simd_instruction_set(ScalarKind.F64, 4)[0]
-    assert simd.is_simd and not simd.is_complex
-    cplx = make_complex_instruction_set(ScalarKind.C128)[0]
-    assert cplx.is_complex and not cplx.is_simd
+@pytest.mark.parametrize("operation, elem, lanes, why", [
+    ("vmin", ScalarKind.C64, 4, "not defined on c64"),
+    ("vredmax", ScalarKind.C128, 2, "not defined on c128"),
+    ("vconj", ScalarKind.F32, 8, "not defined on f32"),
+    ("cmul", ScalarKind.F64, 1, "not defined on f64"),
+    ("vadd", ScalarKind.F32, 1, "needs lanes > 1"),
+    ("mac", ScalarKind.F64, 4, "needs lanes == 1"),
+])
+def test_instruction_rejects_what_no_record_implements(operation, elem,
+                                                       lanes, why):
+    with pytest.raises(IsaError, match=why):
+        Instruction(name="x", operation=operation, elem=elem, lanes=lanes,
+                    cycles=1, intrinsic="i")
