@@ -145,6 +145,17 @@ def test_pins_cover_every_family():
         <= set(FUZZ_SEEDS)
 
 
+def test_fuzz_seed_pins_hold_the_generated_programs():
+    """A generator change must regenerate the pins: each pinned seed's
+    program is the one the fresh fuzz batch runs for that seed."""
+    for name, record in cycle_pins().items():
+        if name.startswith("fuzz_seed/"):
+            seed = int(name.split("/")[1])
+            generated = ProgramGenerator(seed).generate().to_dict()
+            assert record["program"] == json.loads(json.dumps(generated)), \
+                f"{name}: regenerate tests/cycle_pins.json"
+
+
 if __name__ == "__main__":
     print('{"records": [')
     print(",\n".join(json.dumps(record, sort_keys=True)
