@@ -28,17 +28,12 @@ class ScalarKind(enum.Enum):
     C64 = "c64"    # complex of two f32
     C128 = "c128"  # complex of two f64
 
-    @property
-    def is_complex(self) -> bool:
-        return self in _COMPLEX_KINDS
-
-    @property
-    def is_float(self) -> bool:
-        return self in _FLOAT_KINDS
-
-    @property
-    def is_integer(self) -> bool:
-        return self in _INTEGER_KINDS
+    def __init__(self, value: str) -> None:
+        # Plain per-member flags: a property testing set membership
+        # would hash the member through ``Enum.__hash__`` on each call.
+        self.is_complex = value in ("c64", "c128")
+        self.is_float = value in ("f32", "f64")
+        self.is_integer = not (self.is_complex or self.is_float)
 
     @property
     def real_kind(self) -> "ScalarKind":
@@ -48,14 +43,6 @@ class ScalarKind(enum.Enum):
         if self is ScalarKind.C128:
             return ScalarKind.F64
         return self
-
-
-# Built once: a tuple literal in the properties would look every member
-# up again on each call.
-_COMPLEX_KINDS = frozenset({ScalarKind.C64, ScalarKind.C128})
-_FLOAT_KINDS = frozenset({ScalarKind.F32, ScalarKind.F64})
-_INTEGER_KINDS = frozenset({ScalarKind.I8, ScalarKind.I16, ScalarKind.I32,
-                            ScalarKind.BOOL})
 
 
 @dataclass(frozen=True)

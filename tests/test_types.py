@@ -108,3 +108,27 @@ def test_without_value():
     assert MType.double(2.0).without_value().value is None
     plain = MType.double()
     assert plain.without_value() is plain
+
+
+def test_scalar_kind_flags_are_plain_member_attributes():
+    import pickle
+
+    from repro.ir.types import ScalarKind
+
+    kinds = {kind: (kind.is_complex, kind.is_float, kind.is_integer)
+             for kind in ScalarKind}
+    assert kinds == {
+        ScalarKind.BOOL: (False, False, True),
+        ScalarKind.I8: (False, False, True),
+        ScalarKind.I16: (False, False, True),
+        ScalarKind.I32: (False, False, True),
+        ScalarKind.F32: (False, True, False),
+        ScalarKind.F64: (False, True, False),
+        ScalarKind.C64: (True, False, False),
+        ScalarKind.C128: (True, False, False),
+    }
+    for kind in ScalarKind:
+        assert "is_complex" in vars(kind)
+        # A member still pickles by its value alone.
+        assert kind.__reduce_ex__(4) == (ScalarKind, (kind.value,))
+        assert pickle.loads(pickle.dumps(kind)) is kind
