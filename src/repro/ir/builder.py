@@ -2188,6 +2188,21 @@ class _FunctionLowerer:
         # caller buffers and die in DCE when the callee is inlined.
         for rt in result_types[len(results):]:
             results.append(self.temp("unused", from_mtype(rt)))
+        # A caller variable whose joined type differs from the callee's
+        # result type (``[a, b] = f(...)`` with ``a`` single complex
+        # after a later assignment) takes the result through a
+        # temporary of the callee's type and a converting copy: the
+        # call writes its outputs through pointers of its own types.
+        targets = list(results)
+        conversions: list[tuple[str, IRType, str, IRType]] = []
+        for position, rt in enumerate(result_types):
+            result_t = from_mtype(rt)
+            name = results[position]
+            caller_t = self.fn.local_type(name)
+            if caller_t is not None and caller_t != result_t:
+                results[position] = self.temp("ret", result_t)
+                conversions.append((name, caller_t, results[position],
+                                    result_t))
         result_set = set(results)
 
         args: list[ir.Expr | str] = []
@@ -2208,4 +2223,10 @@ class _FunctionLowerer:
             args.append(name)
 
         self.emit(ir.Call(callee=callee_name, args=args, results=results))
-        return results
+        for name, caller_t, temp, result_t in conversions:
+            if isinstance(caller_t, ArrayType):
+                self._emit_array_copy(name, caller_t, temp, result_t)
+            else:
+                self.emit(ir.AssignVar(name=name, value=self.coerce(
+                    ir.VarRef(result_t, temp), caller_t)))
+        return targets

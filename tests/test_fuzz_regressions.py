@@ -13,11 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import check_program, golden_outputs
+from pathlib import Path
+
+from helpers import (HAVE_GCC, assert_outputs_close, check_program,
+                     golden_outputs)
 from repro import numeric
 from repro.cache import CompilationCache
-from repro.compiler import arg
+from repro.compiler import CompilerOptions, arg, compile_source
+from repro.fuzz.reducer import load_reproducer
 from repro.observe import TraceSession, trace as obs_trace
+
+CORPUS = Path(__file__).parent / "fuzz_corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +228,32 @@ end
         inputs=[z, a], with_gcc=True)
     expected = complex(np.sum(z)) + complex(a[0, 0])
     assert np.allclose(np.asarray(outputs[0]), expected)
+
+
+# ---------------------------------------------------------------------------
+# Call results whose caller variable joined to another type
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_call_result_converts_to_the_callers_joined_type(inline):
+    # fuzz seed 1031: ``v4`` joins to single complex through a later
+    # branch, so sf2's double complex r1 must be converted on the way
+    # in; the same holds for a scalar result (``s``) and a single-output
+    # call (``w``).  The C wrote c128 into c64 storage before.
+    program, _ = load_reproducer(CORPUS, "multi_return_result_type_join")
+    golden = golden_outputs(program.source, program.entry,
+                            program.inputs(), program.nargout)
+    result = compile_source(program.source, args=program.arg_specs(),
+                            entry=program.entry,
+                            options=CompilerOptions(inline=inline),
+                            use_cache=False)
+    runs = [result.simulate(program.inputs()).outputs]
+    if HAVE_GCC:
+        runs.append(result.native_program().run(program.inputs()).outputs)
+    for outputs in runs:
+        for index, expected in enumerate(golden):
+            assert_outputs_close(outputs[index], expected, 1e-6,
+                                 f"output #{index}")
 
 
 # ---------------------------------------------------------------------------
