@@ -1,8 +1,10 @@
 """Dead-code elimination.
 
 Removes assignments to scalar variables that are never read (and are not
-function outputs), loops and copies producing arrays that are never read
-(and are not outputs), and unused local declarations.  Iterates naturally
+function outputs), element stores, loops and copies producing arrays that
+are never read (and are not parameters or outputs), and unused local
+declarations.  An element store into such an array goes even when its
+loop stays live for other writes.  Iterates naturally
 with the pass manager: removing one dead assignment can make another's
 operands dead in the next round.
 """
@@ -59,14 +61,23 @@ class DeadCodeElimination:
                 if stmt.name not in live_scalars and \
                         self._is_pure(stmt.value):
                     remove = True
+            elif isinstance(stmt, ir.Store):
+                if stmt.array not in live_arrays and \
+                        self._is_pure(stmt.index) and \
+                        self._is_pure(stmt.value):
+                    remove = True
             elif isinstance(stmt, ir.CopyArray):
                 if stmt.dst not in live_arrays:
                     remove = True
             elif isinstance(stmt, ir.ForRange):
-                changed |= self._sweep(stmt.body, live_scalars, live_arrays)
+                # A dead loop goes whole, before its body is swept: the
+                # reader map must still see what the body reads.
                 if self._loop_only_writes_dead(stmt, live_arrays,
                                                live_scalars):
                     remove = True
+                else:
+                    changed |= self._sweep(stmt.body, live_scalars,
+                                           live_arrays)
             elif isinstance(stmt, (ir.While, ir.If)):
                 for sub in stmt.substatements():
                     changed |= self._sweep(sub, live_scalars, live_arrays)

@@ -1,9 +1,17 @@
-"""Forward constant propagation for scalar variables.
+"""Forward constant propagation for scalar variables and array elements.
 
 A structured-IR dataflow walk: constants assigned to scalar variables are
 substituted into later uses until the variable is reassigned, with kills
 at loop and branch boundaries (a loop body may run zero or many times, so
 anything it assigns is unknown both inside and after it).
+
+Inside one loop body, a constant element store ``A[i] = c`` is also
+forwarded to a later load ``A[i]`` of the same straight-line run of
+statements: the index must be structurally equal and read no array, and
+nothing in between may write ``A`` or a scalar the index reads.  Nested
+control flow and every other kind of write (a call, a copy, a vector or
+intrinsic store) end the run.  Fused ``complex(zeros(..), zeros(..))``
+fills then fold to one element type.
 """
 
 from __future__ import annotations
@@ -58,12 +66,14 @@ class ConstantPropagation:
                 killed = assigned_vars(stmt.body) | {stmt.var}
                 inner = {k: v for k, v in env.items() if k not in killed}
                 self._walk(stmt.body, inner)
+                self._forward_stores(stmt.body)
                 for name in killed:
                     env.pop(name, None)
             elif isinstance(stmt, ir.While):
                 killed = assigned_vars(stmt.body)
                 inner = {k: v for k, v in env.items() if k not in killed}
                 self._walk(stmt.body, inner)
+                self._forward_stores(stmt.body)
                 for name in killed:
                     env.pop(name, None)
             elif isinstance(stmt, ir.If):
@@ -76,3 +86,56 @@ class ConstantPropagation:
             elif isinstance(stmt, ir.Call):
                 for name in stmt.results:
                     env.pop(name, None)
+
+    def _forward_stores(self, body: list[ir.Stmt]) -> None:
+        """Forward constant element stores of one loop body to later
+        loads of the same element (see the module docstring)."""
+        if not any(isinstance(stmt, ir.Store) and
+                   isinstance(stmt.value, ir.Const) for stmt in body):
+            return
+        # (store, the scalar names its index reads), in body order.
+        facts: list[tuple[ir.Store, set[str]]] = []
+
+        def replace(expr: ir.Expr) -> ir.Expr:
+            if isinstance(expr, ir.Load):
+                for store, _ in facts:
+                    if store.array == expr.array and \
+                            store.value.type == expr.type and \
+                            store.index == expr.index:
+                        self._changed = True
+                        return ir.Const(store.value.type, store.value.value)
+            return expr
+
+        for stmt in body:
+            if isinstance(stmt, ir.Store):
+                if facts:
+                    rewrite_stmt_exprs(stmt, replace)
+                facts = [fact for fact in facts
+                         if fact[0].array != stmt.array]
+                if isinstance(stmt.value, ir.Const):
+                    names = _index_names(stmt.index)
+                    if names is not None:
+                        facts.append((stmt, names))
+            elif isinstance(stmt, (ir.AssignVar, ir.Emit)):
+                if facts:
+                    rewrite_stmt_exprs(stmt, replace)
+                    if isinstance(stmt, ir.AssignVar):
+                        facts = [fact for fact in facts
+                                 if stmt.name not in fact[1]]
+            else:
+                facts = []
+
+
+def _index_names(index: ir.Expr) -> set[str] | None:
+    """The scalar names ``index`` reads, or None when it reads an array
+    or calls anything (a store in between could change its value)."""
+    names: set[str] = set()
+    for node in ir.walk_expr(index):
+        if isinstance(node, ir.VarRef):
+            names.add(node.name)
+        elif not isinstance(node, _PLAIN_INDEX_NODES):
+            return None
+    return names
+
+
+_PLAIN_INDEX_NODES = (ir.Const, ir.BinOp, ir.UnOp, ir.Cast)
