@@ -4,9 +4,9 @@ Removes assignments to scalar variables that are never read (and are not
 function outputs), element stores, loops and copies producing arrays that
 are never read (and are not parameters or outputs), and unused local
 declarations.  An element store into such an array goes even when its
-loop stays live for other writes.  Iterates naturally
-with the pass manager: removing one dead assignment can make another's
-operands dead in the next round.
+loop stays live for other writes.  Iterates naturally with the pass
+manager: removing one dead assignment can make another's operands dead
+in the next round.
 """
 
 from __future__ import annotations

@@ -107,23 +107,22 @@ class ConstantPropagation:
             return expr
 
         for stmt in body:
+            if not isinstance(stmt, (ir.Store, ir.AssignVar, ir.Emit)):
+                facts = []
+                continue
+            if facts:
+                rewrite_stmt_exprs(stmt, replace)
             if isinstance(stmt, ir.Store):
-                if facts:
-                    rewrite_stmt_exprs(stmt, replace)
                 facts = [fact for fact in facts
                          if fact[0].array != stmt.array]
                 if isinstance(stmt.value, ir.Const):
                     names = _index_names(stmt.index)
                     if names is not None:
                         facts.append((stmt, names))
-            elif isinstance(stmt, (ir.AssignVar, ir.Emit)):
-                if facts:
-                    rewrite_stmt_exprs(stmt, replace)
-                    if isinstance(stmt, ir.AssignVar):
-                        facts = [fact for fact in facts
-                                 if stmt.name not in fact[1]]
-            else:
-                facts = []
+            elif isinstance(stmt, ir.AssignVar):
+                facts = [fact for fact in facts if stmt.name not in fact[1]]
+
+_PLAIN_INDEX_NODES = (ir.Const, ir.BinOp, ir.UnOp, ir.Cast)
 
 
 def _index_names(index: ir.Expr) -> set[str] | None:
@@ -136,6 +135,3 @@ def _index_names(index: ir.Expr) -> set[str] | None:
         elif not isinstance(node, _PLAIN_INDEX_NODES):
             return None
     return names
-
-
-_PLAIN_INDEX_NODES = (ir.Const, ir.BinOp, ir.UnOp, ir.Cast)
