@@ -155,8 +155,6 @@ class _FunctionEmitter:
             base = self._expr(stmt.base)
             self.w.line(f"{stmt.instruction.intrinsic}(&{stmt.array}"
                         f"[{base}], {self._expr(stmt.value)});")
-        elif isinstance(stmt, ir.IntrinsicStmt):
-            self.w.line(self._expr(stmt.call) + ";")
         elif isinstance(stmt, ir.ForRange):
             var = stmt.var
             start = self._expr(stmt.start)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-from repro.ir.types import ArrayType, IRType, ScalarType, VectorType
+from repro.ir.types import ArrayType, IRType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.asip.model import Instruction
@@ -132,20 +132,12 @@ class VecLoad(Expr):
 
 
 @dataclass
-class VecSplat(Expr):
-    """Broadcast a scalar into all lanes."""
-
-    operand: Expr = None
-
-
-@dataclass
 class IntrinsicCall(Expr):
     """Invocation of a target-specific custom instruction.
 
     The backend prints it as a call to the instruction's intrinsic
     function; the simulator executes its semantics and charges its
-    cycle cost.  ``type`` may be a VectorType, ScalarType, or the
-    void-like ScalarType for pure-store intrinsics.
+    cycle cost.  ``type`` is a VectorType or a ScalarType.
     """
 
     instruction: "Instruction" = None
@@ -198,13 +190,6 @@ class VecStore(Stmt):
     base: Expr = None
     value: Expr = None
     instruction: "Instruction" = None
-
-
-@dataclass
-class IntrinsicStmt(Stmt):
-    """A custom instruction invoked for effect (e.g. a streaming store)."""
-
-    call: IntrinsicCall = None
 
 
 @dataclass
@@ -398,7 +383,6 @@ EXPR_FIELDS: dict[type, tuple[str, ...]] = {
     MakeComplex: ("real", "imag"),
     Load: ("index",),
     VecLoad: ("base",),
-    VecSplat: ("operand",),
     IntrinsicCall: (Many("args"),),
 }
 
@@ -407,7 +391,6 @@ STMT_FIELDS: dict[type, tuple[str, ...]] = {
     AssignVar: ("value",),
     Store: ("index", "value"),
     VecStore: ("base", "value"),
-    IntrinsicStmt: ("call",),
     ForRange: ("start", "stop", Block("body")),
     While: ("condition", Block("body")),
     If: ("condition", Block("then_body"), Block("else_body")),

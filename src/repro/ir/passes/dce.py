@@ -12,7 +12,12 @@ in the next round.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import read_outside_loop, used_vars
+from repro.ir.passes.rewrite import (
+    read_outside_loop,
+    reads,
+    used_vars,
+    writes,
+)
 
 
 class DeadCodeElimination:
@@ -22,7 +27,7 @@ class DeadCodeElimination:
         keep = {p.name for p in func.outputs}
         keep.update(p.name for p in func.params)
 
-        used, loaded = _reads(func.body)
+        used, loaded = reads(func.body)
         live_scalars = used | keep
         live_arrays = loaded | keep
 
@@ -36,7 +41,7 @@ class DeadCodeElimination:
         # live set already: only the written names need a look.  When
         # the sweep built the reader map, a name whose every reader was
         # swept (a dead loop's induction variable) is read no more.
-        written = _writes(func.body)
+        written = set().union(*writes(func.body))
         if self._readers is not None:
             live_scalars = live_scalars - {
                 name for name, tops in self._readers.items()
@@ -106,9 +111,8 @@ class DeadCodeElimination:
         loop keeps the loop.
         """
         for stmt in ir.walk_statements(loop.body):
-            if isinstance(stmt, (ir.Emit, ir.Call, ir.IntrinsicStmt,
-                                 ir.Return, ir.Break, ir.Continue,
-                                 ir.While)):
+            if isinstance(stmt, (ir.Emit, ir.Call, ir.Return, ir.Break,
+                                 ir.Continue, ir.While)):
                 return False
             if isinstance(stmt, (ir.Store, ir.VecStore)) and \
                     stmt.array in live_arrays:
@@ -134,24 +138,6 @@ class DeadCodeElimination:
                 if id(stmt) not in self._removed]
 
 
-def _reads(body: list[ir.Stmt]) -> tuple[set[str], set[str]]:
-    """The scalar names and the array names read in ``body``."""
-    used: set[str] = set()
-    loaded: set[str] = set()
-    for stmt in ir.walk_statements(body):
-        for expr in ir.statement_exprs(stmt):
-            for node in ir.walk_expr(expr):
-                if isinstance(node, ir.VarRef):
-                    used.add(node.name)
-                elif isinstance(node, (ir.Load, ir.VecLoad)):
-                    loaded.add(node.array)
-        if isinstance(stmt, ir.CopyArray):
-            loaded.add(stmt.src)
-        elif isinstance(stmt, ir.Call):
-            loaded.update(a for a in stmt.args if isinstance(a, str))
-    return used, loaded
-
-
 def _top_level_readers(body: list[ir.Stmt]) -> dict[str, list[ir.Stmt]]:
     """For each scalar name, the statements of ``body`` (top level)
     whose tree reads it."""
@@ -160,20 +146,3 @@ def _top_level_readers(body: list[ir.Stmt]) -> dict[str, list[ir.Stmt]]:
         for name in used_vars([top]):
             readers.setdefault(name, []).append(top)
     return readers
-
-
-def _writes(body: list[ir.Stmt]) -> set[str]:
-    """The scalar and array names written in ``body``."""
-    written: set[str] = set()
-    for stmt in ir.walk_statements(body):
-        if isinstance(stmt, ir.AssignVar):
-            written.add(stmt.name)
-        elif isinstance(stmt, (ir.Store, ir.VecStore)):
-            written.add(stmt.array)
-        elif isinstance(stmt, ir.ForRange):
-            written.add(stmt.var)
-        elif isinstance(stmt, ir.CopyArray):
-            written.add(stmt.dst)
-        elif isinstance(stmt, ir.Call):
-            written.update(stmt.results)
-    return written

@@ -132,10 +132,3 @@ def cleanup_pipeline() -> PassManager:
         CommonSubexpressionElimination(),
         DeadCodeElimination(),
     ])
-
-
-def minimal_pipeline() -> PassManager:
-    """Folding only — used by ablation variants."""
-    from repro.ir.passes.constant_folding import ConstantFolding
-
-    return PassManager(passes=[ConstantFolding()], max_rounds=2)

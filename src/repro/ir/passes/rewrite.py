@@ -41,38 +41,34 @@ def rewrite_tree(body: list[ir.Stmt], fn: ExprRewriter) -> None:
             rewrite_tree(sub, fn)
 
 
-def assigned_vars(body: list[ir.Stmt]) -> set[str]:
-    """All scalar variable names assigned anywhere in ``body``."""
+def writes(body: list[ir.Stmt]) -> tuple[set[str], set[str]]:
+    """The scalar names and the array names written anywhere in
+    ``body``, from one walk; a call's results count as both."""
     names: set[str] = set()
+    arrays: set[str] = set()
     for stmt in ir.walk_statements(body):
         if isinstance(stmt, ir.AssignVar):
             names.add(stmt.name)
+        elif isinstance(stmt, (ir.Store, ir.VecStore)):
+            arrays.add(stmt.array)
         elif isinstance(stmt, ir.ForRange):
             names.add(stmt.var)
+        elif isinstance(stmt, ir.CopyArray):
+            arrays.add(stmt.dst)
         elif isinstance(stmt, ir.Call):
             names.update(stmt.results)
-    return names
+            arrays.update(stmt.results)
+    return names, arrays
+
+
+def assigned_vars(body: list[ir.Stmt]) -> set[str]:
+    """All scalar variable names assigned anywhere in ``body``."""
+    return writes(body)[0]
 
 
 def stored_arrays(body: list[ir.Stmt]) -> set[str]:
     """All array names written anywhere in ``body``."""
-    names: set[str] = set()
-    for stmt in ir.walk_statements(body):
-        if isinstance(stmt, (ir.Store, ir.VecStore)):
-            names.add(stmt.array)
-        elif isinstance(stmt, ir.CopyArray):
-            names.add(stmt.dst)
-        elif isinstance(stmt, ir.Call):
-            names.update(stmt.results)
-        elif isinstance(stmt, ir.IntrinsicStmt):
-            # Store-like intrinsics name their target array as a string
-            # argument by convention; be conservative and treat every
-            # array-typed VarRef argument as potentially written.
-            for arg in stmt.call.args:
-                for node in ir.walk_expr(arg):
-                    if isinstance(node, (ir.VecLoad, ir.Load)):
-                        names.add(node.array)
-    return names
+    return writes(body)[1]
 
 
 def read_outside_loop(body: list[ir.Stmt], loop: ir.ForRange,
@@ -127,31 +123,30 @@ def names_read(body: list[ir.Stmt],
     return names
 
 
-def used_vars_expr(expr: ir.Expr, names: set[str]) -> None:
-    for node in ir.walk_expr(expr):
-        if isinstance(node, ir.VarRef):
-            names.add(node.name)
+def reads(body: list[ir.Stmt]) -> tuple[set[str], set[str]]:
+    """The scalar names and the array names read anywhere in ``body``,
+    from one walk."""
+    names: set[str] = set()
+    arrays: set[str] = set()
+    for stmt in ir.walk_statements(body):
+        for expr in ir.statement_exprs(stmt):
+            for node in ir.walk_expr(expr):
+                if isinstance(node, ir.VarRef):
+                    names.add(node.name)
+                elif isinstance(node, (ir.Load, ir.VecLoad)):
+                    arrays.add(node.array)
+        if isinstance(stmt, ir.CopyArray):
+            arrays.add(stmt.src)
+        elif isinstance(stmt, ir.Call):
+            arrays.update(a for a in stmt.args if isinstance(a, str))
+    return names, arrays
 
 
 def used_vars(body: list[ir.Stmt]) -> set[str]:
     """All scalar variable names read anywhere in ``body``."""
-    names: set[str] = set()
-    for stmt in ir.walk_statements(body):
-        for expr in ir.statement_exprs(stmt):
-            used_vars_expr(expr, names)
-    return names
+    return reads(body)[0]
 
 
 def loaded_arrays(body: list[ir.Stmt]) -> set[str]:
     """All array names read anywhere in ``body``."""
-    names: set[str] = set()
-    for stmt in ir.walk_statements(body):
-        for expr in ir.statement_exprs(stmt):
-            for node in ir.walk_expr(expr):
-                if isinstance(node, (ir.Load, ir.VecLoad)):
-                    names.add(node.array)
-        if isinstance(stmt, ir.CopyArray):
-            names.add(stmt.src)
-        elif isinstance(stmt, ir.Call):
-            names.update(a for a in stmt.args if isinstance(a, str))
-    return names
+    return reads(body)[1]

@@ -160,13 +160,6 @@ class SliceForwarding:
                         scalar_writes.add(name)
                         assigned.add(name)
                         refuse(name)
-                elif isinstance(stmt, ir.IntrinsicStmt):
-                    # As ``stored_arrays``: any array an intrinsic
-                    # statement mentions may be written.
-                    for node in ir.walk_expr(stmt.call):
-                        if isinstance(node, (ir.Load, ir.VecLoad)):
-                            array_writes[node.array] = \
-                                array_writes.get(node.array, 0) + 1
                 if isinstance(stmt, ir.ForRange):
                     scalar_writes.add(stmt.var)
                     walk(stmt.body, {**loops, stmt.var: stmt}, position)

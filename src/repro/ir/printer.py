@@ -26,8 +26,6 @@ def format_expr(expr: ir.Expr) -> str:
         return f"{expr.array}[{format_expr(expr.index)}]"
     if isinstance(expr, ir.VecLoad):
         return f"vload.{expr.type.describe()} {expr.array}[{format_expr(expr.base)}]"
-    if isinstance(expr, ir.VecSplat):
-        return f"splat.{expr.type.describe()}({format_expr(expr.operand)})"
     if isinstance(expr, ir.IntrinsicCall):
         args = ", ".join(format_expr(a) for a in expr.args)
         return f"@{expr.instruction.name}({args})"
@@ -44,8 +42,6 @@ def _format_stmt(stmt: ir.Stmt, indent: int, out: list[str]) -> None:
     elif isinstance(stmt, ir.VecStore):
         out.append(f"{pad}vstore {stmt.array}[{format_expr(stmt.base)}] = "
                    f"{format_expr(stmt.value)}")
-    elif isinstance(stmt, ir.IntrinsicStmt):
-        out.append(f"{pad}{format_expr(stmt.call)}")
     elif isinstance(stmt, ir.ForRange):
         out.append(f"{pad}for {stmt.var} = {format_expr(stmt.start)} .. "
                    f"{format_expr(stmt.stop)} step {stmt.step}:")

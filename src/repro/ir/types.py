@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import LoweringError
-from repro.semantics.types import DType, MType
+from repro.semantics.types import MType
 
 
 class ScalarKind(enum.Enum):
@@ -112,20 +112,22 @@ F64 = ScalarType(ScalarKind.F64)
 C64 = ScalarType(ScalarKind.C64)
 C128 = ScalarType(ScalarKind.C128)
 
+#: By ``DType.short_name``: a string key hashes in C, an enum member
+#: through ``Enum.__hash__``.
 _DTYPE_TO_KIND = {
-    DType.LOGICAL: ScalarKind.BOOL,
-    DType.CHAR: ScalarKind.I8,
-    DType.INT8: ScalarKind.I8,
-    DType.INT16: ScalarKind.I16,
-    DType.INT32: ScalarKind.I32,
-    DType.SINGLE: ScalarKind.F32,
-    DType.DOUBLE: ScalarKind.F64,
+    "logical": ScalarKind.BOOL,
+    "char": ScalarKind.I8,
+    "int8": ScalarKind.I8,
+    "int16": ScalarKind.I16,
+    "int32": ScalarKind.I32,
+    "single": ScalarKind.F32,
+    "double": ScalarKind.F64,
 }
 
 
 def scalar_from_mtype(mtype: MType) -> ScalarType:
     """Element IR type of a MATLAB type."""
-    kind = _DTYPE_TO_KIND[mtype.dtype]
+    kind = _DTYPE_TO_KIND[mtype.dtype.short_name]
     if mtype.is_complex:
         if kind is ScalarKind.F32:
             kind = ScalarKind.C64

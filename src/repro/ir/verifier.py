@@ -103,8 +103,6 @@ class _FunctionVerifier:
                 self.fail("vector store element kind mismatch")
             if self._check_expr(stmt.base) != I32:
                 self.fail("vector store base must be i32")
-        elif isinstance(stmt, ir.IntrinsicStmt):
-            self._check_expr(stmt.call)
         elif isinstance(stmt, ir.ForRange):
             if stmt.step == 0:
                 self.fail("ForRange step must be non-zero")
@@ -223,9 +221,6 @@ class _FunctionVerifier:
                 self.fail("vector load element kind mismatch")
             if self._check_expr(expr.base) != I32:
                 self.fail("vector load base must be i32")
-            return expr.type
-        if isinstance(expr, ir.VecSplat):
-            self._check_expr(expr.operand)
             return expr.type
         if isinstance(expr, ir.IntrinsicCall):
             if expr.instruction is None:

@@ -27,13 +27,13 @@ class DType(enum.Enum):
     SINGLE = 4
     DOUBLE = 5
 
-    @property
-    def is_integer(self) -> bool:
-        return self in (DType.INT8, DType.INT16, DType.INT32)
-
-    @property
-    def is_float(self) -> bool:
-        return self in (DType.SINGLE, DType.DOUBLE)
+    def __init__(self, value: int) -> None:
+        # Plain per-member attributes: a set or dict keyed by the member
+        # would hash it through ``Enum.__hash__`` on each lookup.
+        self.is_integer = value in (1, 2, 3)
+        self.is_float = value in (4, 5)
+        self.short_name = ("char", "logical", "int8", "int16", "int32",
+                           "single", "double")[value + 1]
 
     def join(self, other: "DType") -> "DType":
         """MATLAB class combination.
@@ -44,31 +44,16 @@ class DType(enum.Enum):
         array times a double literal stays int16).  Two different
         integer classes (an error in MATLAB) join to the wider one.
         """
-        pair = {self, other}
-        if pair == {DType.SINGLE, DType.DOUBLE}:
-            return DType.SINGLE
+        if self.is_float and other.is_float and self is not other:
+            return DType.SINGLE  # single with double
         if self.is_integer and other.is_float:
             return self
         if other.is_integer and self.is_float:
             return other
         return self if self.value >= other.value else other
 
-    @property
-    def short_name(self) -> str:
-        return _SHORT_NAMES[self]
 
-
-_SHORT_NAMES = {
-    DType.CHAR: "char",
-    DType.LOGICAL: "logical",
-    DType.INT8: "int8",
-    DType.INT16: "int16",
-    DType.INT32: "int32",
-    DType.SINGLE: "single",
-    DType.DOUBLE: "double",
-}
-
-_BY_SHORT_NAME = {v: k for k, v in _SHORT_NAMES.items()}
+_BY_SHORT_NAME = {dtype.short_name: dtype for dtype in DType}
 
 
 def dtype_from_name(name: str) -> DType | None:

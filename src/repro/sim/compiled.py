@@ -13,8 +13,8 @@ of its charge point, keyed by ``(source line, term)``, and the
 processor's :class:`~repro.sim.cost.CostModel` prices each point once
 per program.  Terms and the category that prices them:
 
-* ``move``: ``("move",)`` for an ``AssignVar``, a ``VecSplat``, and
-  twice per ``MakeComplex``;
+* ``move``: ``("move",)`` for an ``AssignVar``, and twice per
+  ``MakeComplex``;
 * ``mem``: ``("load", c)`` / ``("store", c)`` for a scalar load or
   store, and ``("copy", c)`` per element of a ``CopyArray``;
 * ``alu``: ``("binop", op, c)`` / ``("unop", op, c)`` for a scalar
@@ -297,9 +297,8 @@ _COMPARISONS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
 
 
 def _is_splat(expr: ir.Expr) -> bool:
-    return isinstance(expr, ir.VecSplat) or (
-        isinstance(expr, ir.IntrinsicCall)
-        and expr.instruction.operation == "vsplat")
+    return isinstance(expr, ir.IntrinsicCall) and \
+        expr.instruction.operation == "vsplat"
 
 
 def _scalar_operands(rule: tuple, args: list[ir.Expr]) -> list[bool]:
@@ -542,10 +541,6 @@ class _FuncCodegen:
             return f"complex({rcode}, {icode})"
         if isinstance(e, ir.VecLoad):
             return self._vecload_expr(e, intvars, terms)
-        if isinstance(e, ir.VecSplat):
-            code = self.expr(e.operand, intvars, terms)
-            self.charge(terms, "move")
-            return self._splat_code(e, e.operand, code, intvars)
         if isinstance(e, ir.IntrinsicCall):
             return self._intrinsic_expr(e, intvars, terms)
         raise SimulationError(f"cannot evaluate {type(e).__name__}")
@@ -636,10 +631,6 @@ class _FuncCodegen:
         for arg, scalar in zip(args, _scalar_operands(rule, args)):
             if isinstance(arg, ir.VecLoad):
                 code = self._vecload_expr(arg, intvars, terms, view=True)
-            elif scalar and isinstance(arg, ir.VecSplat):
-                code = self.expr(arg.operand, intvars, terms)
-                self.charge(terms, "move")
-                code = self._lane_scalar(arg, arg.operand, code, intvars)
             elif scalar:  # a vsplat custom instruction
                 code = self._intrinsic_expr(arg, intvars, terms,
                                             scalar=True)
@@ -648,19 +639,20 @@ class _FuncCodegen:
             codes.append(code)
         return codes
 
-    def _lane_scalar(self, splat: ir.Expr, operand: ir.Expr, code: str,
+    def _lane_scalar(self, splat: ir.IntrinsicCall, code: str,
                      intvars) -> str:
-        """The dtype scalar a splat of ``operand`` fills its lanes with."""
+        """The dtype scalar a splat of operand ``code`` fills its lanes
+        with."""
         kind = splat.type.elem.kind
         dt = self.bind("_dt", numpy_dtype(kind))
-        return f"{dt}({self._real_code(operand, code, intvars, kind)})"
+        return f"{dt}({self._real_code(splat.args[0], code, intvars, kind)})"
 
-    def _splat_code(self, splat: ir.Expr, operand: ir.Expr, code: str,
+    def _splat_code(self, splat: ir.IntrinsicCall, code: str,
                     intvars) -> str:
         """A standalone splat: a fresh lane array, filled in place."""
         kind = splat.type.elem.kind
         dt = self.bind("_dt", numpy_dtype(kind))
-        value = self._real_code(operand, code, intvars, kind)
+        value = self._real_code(splat.args[0], code, intvars, kind)
         return f"_splat({splat.type.lanes}, {value}, {dt})"
 
     def _vecload_expr(self, e: ir.VecLoad, intvars, terms,
@@ -690,7 +682,7 @@ class _FuncCodegen:
         self.charge(terms, "intrinsic", instr.name)
         if op.tag == "vsplat":
             splat = self._lane_scalar if scalar else self._splat_code
-            return splat(e, e.args[0], a[0], intvars)
+            return splat(e, a[0], intvars)
         if op.sim is None:
             raise SimulationError(
                 f"intrinsic operation {op.tag!r} is not an expression")
@@ -707,8 +699,6 @@ class _FuncCodegen:
             return self._store_stmt(s, intvars, terms)
         if isinstance(s, ir.VecStore):
             return self._vecstore_stmt(s, intvars, terms)
-        if isinstance(s, ir.IntrinsicStmt):
-            return [self.expr(s.call, intvars, terms)]
         if isinstance(s, ir.ForRange):
             return self._for_stmt(s, intvars, terms)
         if isinstance(s, ir.While):

@@ -1,13 +1,15 @@
 """Custom-instruction selection as data: one pattern table, one driver.
 
-Each row of :data:`PATTERNS` maps one IR shape onto one operation of
-the processor description; a target that lacks the operation keeps the
-scalar code.  ``simd-vectorize`` rows are the lane ops the SIMD
-vectorizer builds vector expressions from (:mod:`repro.vectorize.simd`);
-the other groups rewrite scalar expressions in place, one
+Each row of :data:`PATTERNS` maps one IR shape onto operations of the
+processor description; a target that lacks them keeps the scalar code.
+``simd-vectorize`` rows are the lane ops the SIMD vectorizer builds
+vector expressions from, and ``simd-reduce`` rows the reductions it
+accumulates in a vector register (:mod:`repro.vectorize.simd`); the
+other groups rewrite scalar expressions in place, one
 :class:`PatternSelector` pass per group
 (:mod:`repro.vectorize.complexops`, :mod:`repro.vectorize.idioms`).
-Adding an idiom is one row here plus one example in
+Every group picks its row by one rule, :func:`select_row`.  Adding an
+idiom is one row here plus one example in
 ``tests/test_select_patterns.py``, which fails for a row nothing fires.
 """
 
@@ -34,9 +36,16 @@ class Pattern:
     element-type precondition, on the root's type (on the loop's
     element type for a lane row).  ``operands`` takes the instruction's
     operands from a match, or returns None when the shape does not fit.
-    ``remark`` says what was selected.  The instruction is looked up
-    for the root's element kind, or for the first operand's when the
-    operation has a real result (``cmag2`` over a complex operand).
+    ``remark`` says what was selected.
+
+    A reduction row matches the term of ``acc = acc <op> term`` (``op``
+    is the combine op) and also names its ``step``, the instruction
+    that combines the term's operands into a vector accumulator each
+    iteration, its ``fold``, the horizontal reduction of that
+    accumulator after the loop, and the accumulator's ``identity``.
+    Its ``operation`` is the one of the two that sets the row apart:
+    the fused step, or the fold of a row that steps with its combine
+    op's lane instruction.
     """
 
     group: str
@@ -46,6 +55,14 @@ class Pattern:
     operation: str
     operands: Callable[[ir.Expr], "list[ir.Expr] | None"]
     remark: str = ""
+    step: str = ""
+    fold: str = ""
+    identity: int = 0
+
+    @property
+    def instructions(self) -> tuple[str, ...]:
+        """The operations the processor must provide for the row."""
+        return (self.step, self.fold) if self.fold else (self.operation,)
 
 
 # -- element-type preconditions ----------------------------------------
@@ -80,6 +97,17 @@ def _unary(e: ir.UnOp) -> list[ir.Expr]:
 
 def _first_arg(e: ir.MathCall) -> list[ir.Expr]:
     return [e.args[0]]
+
+
+def _itself(e: ir.Expr) -> list[ir.Expr]:
+    return [e]
+
+
+def _product(e: ir.Expr) -> list[ir.Expr] | None:
+    """``a*b`` → ``[a, b]``."""
+    if isinstance(e, ir.BinOp) and e.op == "mul":
+        return [e.left, e.right]
+    return None
 
 
 def _mac(e: ir.BinOp) -> list[ir.Expr] | None:
@@ -182,12 +210,10 @@ def exprs_equal(a: ir.Expr, b: ir.Expr) -> bool:
 
 # -- the table ---------------------------------------------------------
 
-_LANE, _COMPLEX = "simd-vectorize", "complex-select"
+_LANE, _REDUCE, _COMPLEX = "simd-vectorize", "simd-reduce", "complex-select"
 
 #: Every custom-instruction idiom the compiler selects.  Rows sharing a
-#: root and op are tried in table order: in a scalar group the first
-#: that matches and that the processor provides wins; the vectorizer
-#: takes the first lane row whose precondition holds.
+#: root and op are tried in table order (see :func:`select_row`).
 PATTERNS: tuple[Pattern, ...] = (
     Pattern(_LANE, ir.BinOp, "add", _any, "vadd", _binary),
     Pattern(_LANE, ir.BinOp, "sub", _any, "vsub", _binary),
@@ -198,6 +224,10 @@ PATTERNS: tuple[Pattern, ...] = (
     Pattern(_LANE, ir.UnOp, "neg", _any, "vneg", _unary),
     Pattern(_LANE, ir.MathCall, "abs", _real, "vabs", _first_arg),
     Pattern(_LANE, ir.MathCall, "conj", _complex, "vconj", _first_arg),
+    Pattern(_REDUCE, ir.BinOp, "add", _any, "vmac", _product,
+            step="vmac", fold="vredadd", identity=0),
+    Pattern(_REDUCE, ir.BinOp, "add", _any, "vredadd", _itself,
+            step="vadd", fold="vredadd", identity=0),
     Pattern(_COMPLEX, ir.BinOp, "add", _complex, "cmac", _cmac,
             "fused complex multiply-accumulate x + a*b"),
     Pattern(_COMPLEX, ir.BinOp, "add", _complex, "cadd", _binary,
@@ -240,6 +270,46 @@ def candidates(rows: dict, expr: ir.Expr) -> tuple[Pattern, ...]:
     return by_op.get(getattr(expr, field), ())
 
 
+def select_row(rows: tuple[Pattern, ...], expr: ir.Expr, elem: IRType,
+               processor: ProcessorDescription, lanes: int = 1,
+               vector: Callable[[ir.Expr], "ir.Expr | None"] | None = None,
+               ) -> "tuple[Pattern, list, list[ir.Expr]] | None":
+    """The first of ``rows`` that fits ``expr``, as ``(row,
+    instructions, operands)``, or None when none does.
+
+    The one row rule of every group: a row fits when its precondition
+    holds on ``elem``, its matcher takes operands from ``expr``, the
+    processor provides each of its operations at ``lanes`` lanes, and,
+    given ``vector`` (an operand's vector form, or None), every operand
+    has a vector form.  A row that does not fit passes to the next.
+    The instructions are found for ``elem``'s kind, or for the first
+    operand's when the operation has a real result (``cmag2`` over a
+    complex operand).
+    """
+    for row in rows:
+        if not row.elem(elem):
+            continue
+        args = row.operands(expr)
+        if args is None:
+            continue
+        kind = (args[0].type if OPERATIONS[row.operation].real_result
+                else elem).kind
+        found = [processor.find(name, kind, lanes)
+                 for name in row.instructions]
+        if any(instr is None for instr in found):
+            continue
+        if vector is None:
+            return row, found, args
+        vectors = []
+        for arg in args:
+            vectors.append(vector(arg))
+            if vectors[-1] is None:
+                break
+        else:
+            return row, found, vectors
+    return None
+
+
 class PatternSelector:
     """Applies one group of :data:`PATTERNS` to a function.
 
@@ -272,21 +342,14 @@ class PatternSelector:
     def _rewrite(self, expr: ir.Expr) -> ir.Expr:
         if type(expr) not in self._rows:  # most nodes: no row's root
             return expr
-        for row in candidates(self._rows, expr):
-            if not row.elem(expr.type):
-                continue
-            args = row.operands(expr)
-            if args is None:
-                continue
-            kind_of = args[0] if OPERATIONS[row.operation].real_result \
-                else expr
-            instr = self.processor.find(row.operation, kind_of.type.kind, 1)
-            if instr is None:
-                continue
-            self._changed = True
-            obs_remarks.passed(self.name,
-                               f"selected {instr.name!r} for {row.remark}",
-                               function=self._func.name, line=self._line,
-                               instruction=instr.name)
-            return ir.IntrinsicCall(expr.type, instruction=instr, args=args)
-        return expr
+        fit = select_row(candidates(self._rows, expr), expr, expr.type,
+                         self.processor)
+        if fit is None:
+            return expr
+        row, (instr,), args = fit
+        self._changed = True
+        obs_remarks.passed(self.name,
+                           f"selected {instr.name!r} for {row.remark}",
+                           function=self._func.name, line=self._line,
+                           instruction=instr.name)
+        return ir.IntrinsicCall(expr.type, instruction=instr, args=args)

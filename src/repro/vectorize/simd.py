@@ -7,10 +7,13 @@ steps by the SIMD width executing custom-instruction calls
 (:class:`~repro.ir.nodes.IntrinsicCall`, :class:`~repro.ir.nodes.VecLoad`,
 :class:`~repro.ir.nodes.VecStore`), and a scalar tail loop handles the
 remainder.  Reductions accumulate into a vector register and fold with a
-horizontal-reduction instruction after the loop; multiply-accumulate
-chains select the ``vmac`` instruction when the target has one.
+horizontal-reduction instruction after the loop.
 
-Selection is entirely driven by the parameterized
+Every arithmetic operation comes from a row of
+:data:`~repro.vectorize.select.PATTERNS` (the ``simd-vectorize`` lane
+rows and the ``simd-reduce`` reduction rows, the fused ``vmac`` ahead of
+the plain one), picked by :func:`~repro.vectorize.select.select_row`
+against the parameterized
 :class:`~repro.asip.model.ProcessorDescription`: an operation the target
 lacks simply keeps its loop scalar — this is what makes the compiler
 retargetable.
@@ -20,13 +23,15 @@ from __future__ import annotations
 
 from repro.asip.model import ProcessorDescription
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import assigned_vars, names_read, stored_arrays
+from repro.ir.passes.rewrite import names_read, writes
 from repro.ir.types import I32, ScalarKind, ScalarType, VectorType
 from repro.observe import remarks as obs_remarks
-from repro.vectorize.select import candidates, pattern_index
+from repro.vectorize.select import candidates, pattern_index, select_row
 
-#: The lane-op rows of the pattern table, by root class and op.
+#: The lane-op and reduction rows of the pattern table, by root class
+#: and op.
 _LANE_ROWS = pattern_index("simd-vectorize")
+_REDUCTION_ROWS = pattern_index("simd-reduce")
 
 
 class SimdVectorizer:
@@ -140,8 +145,7 @@ class SimdVectorizer:
         unsupported = next(
             (s for s in ir.walk_statements(loop.body)
              if isinstance(s, (ir.If, ir.Break, ir.Continue, ir.Return,
-                               ir.Call, ir.Emit, ir.CopyArray,
-                               ir.IntrinsicStmt))), None)
+                               ir.Call, ir.Emit, ir.CopyArray))), None)
         if unsupported is not None:
             self._missed(loop, "body contains a "
                                f"{type(unsupported).__name__} statement "
@@ -247,14 +251,12 @@ class SimdVectorizer:
         Plan entries:
             ("store", stmt, vec_value_expr)
             ("temp", stmt, vec_value_expr)
-            ("reduce", stmt, acc_name, vmac_args | vec_term)
+            ("reduce", stmt, row, [step, fold], vec_operands)
         """
         var = loop.var
-        stored = stored_arrays(loop.body)
         # Arrays both loaded at loop-invariant indices and stored in the
         # same loop would make splatted loads stale; reject those.
-        self._stored_in_loop = stored
-        self._loop_writes = assigned_vars(loop.body)
+        self._loop_writes, self._stored_in_loop = writes(loop.body)
 
         vector_temps: dict[str, VectorType] = {}
         plan: list[tuple] = []
@@ -438,20 +440,17 @@ class SimdVectorizer:
                 return None
             return self._splat(ir.clone(expr), elem, lanes)
 
-        for row in candidates(_LANE_ROWS, expr):
-            if not row.elem(elem):
-                continue
-            instr = self.processor.find(row.operation, elem.kind, lanes)
-            if instr is None:
+        rows = candidates(_LANE_ROWS, expr)
+        if rows:
+            fit = select_row(rows, expr, elem, self.processor, lanes,
+                             lambda operand: self._vectorize_expr(
+                                 operand, var, elem, lanes, vector_temps))
+            if fit is not None:
+                _, (instr,), args = fit
+                return ir.IntrinsicCall(vtype, instruction=instr, args=args)
+            if any(row.elem(elem) for row in rows):
+                # A lane op that does not fit is not splatted either.
                 return None
-            args = []
-            for operand in row.operands(expr):
-                vector = self._vectorize_expr(operand, var, elem, lanes,
-                                              vector_temps)
-                if vector is None:
-                    return None
-                args.append(vector)
-            return ir.IntrinsicCall(vtype, instruction=instr, args=args)
         if isinstance(expr, ir.BinOp):
             # No lane op: not even an invariant BinOp is splatted.
             return None
@@ -477,8 +476,11 @@ class SimdVectorizer:
     def _match_reduction(self, stmt: ir.AssignVar, var: str,
                          elem: ScalarType, lanes: int,
                          vector_temps: dict) -> tuple | None:
+        """``acc = acc <op> term`` as a plan entry, by the first
+        reduction row that fits ``term``; None if none does."""
         value = stmt.value
-        if not isinstance(value, ir.BinOp) or value.op != "add":
+        rows = candidates(_REDUCTION_ROWS, value)
+        if not rows:
             return None
         if isinstance(value.left, ir.VarRef) and value.left.name == stmt.name:
             term = value.right
@@ -487,25 +489,12 @@ class SimdVectorizer:
             term = value.left
         else:
             return None
-        if not isinstance(stmt.value.type, ScalarType) or \
-                stmt.value.type != elem:
+        if not isinstance(value.type, ScalarType) or value.type != elem:
             return None
-        if self.processor.find("vredadd", elem.kind, lanes) is None:
-            return None
-        # Prefer a fused multiply-accumulate.
-        if isinstance(term, ir.BinOp) and term.op == "mul":
-            vmac = self.processor.find("vmac", elem.kind, lanes)
-            if vmac is not None:
-                left = self._vectorize_expr(term.left, var, elem, lanes,
-                                            vector_temps)
-                right = self._vectorize_expr(term.right, var, elem, lanes,
-                                             vector_temps)
-                if left is not None and right is not None:
-                    return ("reduce", stmt, stmt.name, ("mac", left, right))
-        vterm = self._vectorize_expr(term, var, elem, lanes, vector_temps)
-        if vterm is None:
-            return None
-        return ("reduce", stmt, stmt.name, ("add", vterm))
+        fit = select_row(rows, term, elem, self.processor, lanes,
+                         lambda operand: self._vectorize_expr(
+                             operand, var, elem, lanes, vector_temps))
+        return None if fit is None else ("reduce", stmt, *fit)
 
     # ------------------------------------------------------------------
     # Code emission
@@ -537,18 +526,17 @@ class SimdVectorizer:
             out.append(ir.AssignVar(name, total))
             main_stop = ir.VarRef(I32, name)
 
-        # Reduction prologues.
+        # Reduction prologues: every lane of a vector accumulator starts
+        # at its row's identity.
+        reductions = [entry for entry in plan if entry[0] == "reduce"]
         accumulators: dict[str, str] = {}
-        for entry in plan:
-            if entry[0] != "reduce":
-                continue
-            acc_name = entry[2]
-            vacc = self._temp("vacc")
+        for _, stmt, row, _, _ in reductions:
+            vacc = accumulators[stmt.name] = self._temp("vacc")
             func.declare(vacc, vtype)
-            accumulators[acc_name] = vacc
-            zero = ir.Const(elem, complex(0) if elem.is_complex else 0)
-            splat = self._splat(zero, elem, lanes)
-            out.append(ir.AssignVar(vacc, splat))
+            identity = ir.Const(elem, complex(row.identity)
+                                if elem.is_complex else row.identity)
+            out.append(ir.AssignVar(vacc,
+                                    self._splat(identity, elem, lanes)))
 
         # Main vector body.  Vector temporaries get fresh names so the
         # scalar tail loop keeps using the original scalar variables.
@@ -579,22 +567,13 @@ class SimdVectorizer:
                 main_body.append(ir.AssignVar(new_name, entry[2]))
                 func.declare(new_name, entry[2].type)
             else:
-                acc_name, how = entry[2], entry[3]
-                vacc = accumulators[acc_name]
-                if how[0] == "mac":
-                    rename_refs(how[1])
-                    rename_refs(how[2])
-                    instr = self.processor.find("vmac", elem.kind, lanes)
-                    update: ir.Expr = ir.IntrinsicCall(
-                        vtype, instruction=instr,
-                        args=[ir.VarRef(vtype, vacc), how[1], how[2]])
-                else:
-                    rename_refs(how[1])
-                    instr = self.processor.find("vadd", elem.kind, lanes)
-                    update = ir.IntrinsicCall(
-                        vtype, instruction=instr,
-                        args=[ir.VarRef(vtype, vacc), how[1]])
-                main_body.append(ir.AssignVar(vacc, update))
+                (step, _), args = entry[3], entry[4]
+                for arg in args:
+                    rename_refs(arg)
+                vacc = accumulators[stmt.name]
+                main_body.append(ir.AssignVar(vacc, ir.IntrinsicCall(
+                    vtype, instruction=step,
+                    args=[ir.VarRef(vtype, vacc), *args])))
             # Vector statements inherit the source line of the scalar
             # statement they replace, so hotspot profiles attribute
             # their cycles to the original MATLAB line.
@@ -605,13 +584,13 @@ class SimdVectorizer:
 
         # Reduction epilogues: fold the vector accumulator into the
         # scalar before the tail loop continues accumulating.
-        for acc_name, vacc in accumulators.items():
-            red = self.processor.find("vredadd", elem.kind, lanes)
-            fold = ir.IntrinsicCall(elem, instruction=red,
-                                    args=[ir.VarRef(vtype, vacc)])
-            out.append(ir.AssignVar(acc_name, ir.BinOp(
-                elem, op="add",
-                left=ir.VarRef(elem, acc_name), right=fold)))
+        for _, stmt, row, (_, fold), _ in reductions:
+            folded = ir.IntrinsicCall(
+                elem, instruction=fold,
+                args=[ir.VarRef(vtype, accumulators[stmt.name])])
+            out.append(ir.AssignVar(stmt.name, ir.BinOp(
+                elem, op=row.op,
+                left=ir.VarRef(elem, stmt.name), right=folded)))
 
         # Scalar tail.
         out.append(ir.ForRange(var=loop.var, start=ir.clone(main_stop),

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.asip.model import Instruction
-from repro.compiler import CompilerOptions, compile_source
+from repro.compiler import CompilerOptions, arg, compile_source
 from repro.fuzz.reducer import load_reproducer
 from repro.frontend.parser import parse
 from repro.frontend.source import SourceFile
@@ -47,18 +47,35 @@ def _subclasses(base: type) -> set[type]:
 def _corpus_bodies(kernel_name: str):
     """(label, statement list) of one kernel's lowered and optimized IR."""
     kernel = KERNELS[kernel_name]
-    program = parse(kernel.source, "<string>")
-    sprog = specialize_program(program, kernel.entry, list(kernel.arg_types),
-                               SourceFile(kernel.source, "<string>"))
+    return _program_bodies(kernel.source, kernel.entry, kernel.arg_types)
+
+
+def _program_bodies(source: str, entry: str, args: list):
+    """(label, statement list) of one program's lowered and optimized
+    IR."""
+    program = parse(source, "<string>")
+    sprog = specialize_program(program, entry, list(args),
+                               SourceFile(source, "<string>"))
     for mode in ("naive", "fused"):
         for func in lower_program(sprog, mode=mode).functions:
             yield f"lowered/{mode}/{func.name}", func.body
     for processor in ("vliw_simd_dsp", "wide_simd_dsp"):
-        result = compile_source(kernel.source, kernel.arg_types,
-                                entry=kernel.entry, processor=processor,
+        result = compile_source(source, args, entry=entry,
+                                processor=processor,
                                 options=CompilerOptions(), use_cache=False)
         for func in result.module.functions:
             yield f"optimized/{processor}/{func.name}", func.body
+
+
+#: Bodies building the statements no kernel does: break, continue,
+#: return and disp.
+_CONTROL_BODIES = (
+    "for k = 1:8\n  if x(k) > 0\n    break;\n  end\n  y = y + x(k);\nend\n",
+    "for k = 1:8\n  if x(k) > 0\n    continue;\n  end\n"
+    "  y = y + x(k);\nend\n",
+    "if x(1) > 0\n  return;\nend\ny = x(2);\n",
+    "disp(x(1));\n",
+)
 
 
 # ----------------------------------------------------------------------
@@ -71,9 +88,26 @@ def test_every_node_class_has_a_table_entry():
     assert set(ir.STMT_FIELDS) == _subclasses(ir.Stmt)
 
 
+def test_every_node_class_occurs_in_the_corpus():
+    # A class no program builds is vocabulary every pass must still
+    # handle for nothing.
+    programs = [(k.source, k.entry, k.arg_types) for k in KERNELS.values()]
+    programs += [(f"function y = f(x)\ny = 0;\n{body}end\n", "f",
+                  [arg((1, 8))]) for body in _CONTROL_BODIES]
+    seen: set[type] = set()
+    for source, entry, args in programs:
+        for _, body in _program_bodies(source, entry, args):
+            for stmt in ir.walk_statements(body):
+                seen.add(type(stmt))
+                for expr in ir.statement_exprs(stmt):
+                    seen.update(type(node) for node in ir.walk_expr(expr))
+    missing = {**ir.EXPR_FIELDS, **ir.STMT_FIELDS}.keys() - seen
+    assert not missing, sorted(cls.__name__ for cls in missing)
+
+
 def _node_valued(annotation: str) -> bool:
     return any(word in annotation
-               for word in ("Expr", "Stmt", "IntrinsicCall", "list["))
+               for word in ("Expr", "Stmt", "list["))
 
 
 @pytest.mark.parametrize("cls", sorted(
@@ -111,7 +145,7 @@ def test_block_fields_are_the_substatements(cls):
 def _reference_children(expr: ir.Expr) -> list:
     if isinstance(expr, ir.BinOp):
         return [expr.left, expr.right]
-    if isinstance(expr, (ir.UnOp, ir.Cast, ir.VecSplat)):
+    if isinstance(expr, (ir.UnOp, ir.Cast)):
         return [expr.operand]
     if isinstance(expr, (ir.MathCall, ir.IntrinsicCall)):
         return list(expr.args)
@@ -138,8 +172,6 @@ def _reference_statement_exprs(stmt: ir.Stmt) -> list:
         return [stmt.index, stmt.value]
     if isinstance(stmt, ir.VecStore):
         return [stmt.base, stmt.value]
-    if isinstance(stmt, ir.IntrinsicStmt):
-        return [stmt.call]
     if isinstance(stmt, ir.ForRange):
         return [stmt.start, stmt.stop]
     if isinstance(stmt, (ir.While, ir.If)):

@@ -23,7 +23,7 @@ from repro.ir.passes.dce import DeadCodeElimination
 from repro.ir.passes.licm import LoopInvariantCodeMotion
 from repro.ir.passes.loop_fusion import LoopFusion
 from repro.ir.passes.manager import PassManager, cleanup_pipeline, \
-    minimal_pipeline, standard_pipeline
+    standard_pipeline
 from repro.ir.passes.propagation import ConstantPropagation
 from repro.ir.printer import format_module
 from repro.ir.types import I32, ArrayType, ScalarKind, ScalarType
@@ -580,13 +580,6 @@ def test_standard_pipeline_preserves_fir():
     h = rng.standard_normal((1, 8))
     assert_semantics_preserved(src, "fir", [row(32), row(8)], [x, h],
                                standard_pipeline())
-
-
-def test_minimal_pipeline_runs():
-    src = "function y = f(x)\ny = x * (2 + 3);\nend"
-    module = build(src, "f", [MType.double()])
-    minimal_pipeline().run(module)
-    assert run_module(module, [4.0]).outputs[0] == 20.0
 
 
 def test_pass_manager_reports_stats():

@@ -36,6 +36,15 @@ end
 end
 """
 
+_SUM = """
+function s = f(a, b)
+s = 0;
+for k = 1:8
+    s = s + (a(k) - b(k));
+end
+end
+"""
+
 _MAGNITUDE = """
 function p = f(a, b)
 p = zeros(1, 8);
@@ -57,6 +66,8 @@ EXAMPLES = {
     "vneg": (_elementwise("-a + b"), False, "vliw_simd_dsp", SIMD),
     "vabs": (_elementwise("abs(a) + b"), False, "vliw_simd_dsp", SIMD),
     "vconj": (_elementwise("conj(a) + b"), True, "vliw_simd_dsp", SIMD),
+    "vmac": (_ACCUMULATE, False, "vliw_simd_dsp", SIMD),
+    "vredadd": (_SUM, False, "vliw_simd_dsp", SIMD),
     "cmac": (_ACCUMULATE, True, "vliw_simd_dsp", SCALAR),
     "cadd": (_elementwise("a + b"), True, "vliw_simd_dsp", SCALAR),
     "csub": (_elementwise("a - b"), True, "vliw_simd_dsp", SCALAR),

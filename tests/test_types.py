@@ -132,3 +132,53 @@ def test_scalar_kind_flags_are_plain_member_attributes():
         # A member still pickles by its value alone.
         assert kind.__reduce_ex__(4) == (ScalarKind, (kind.value,))
         assert pickle.loads(pickle.dumps(kind)) is kind
+
+
+def test_dtype_lookups_are_plain_member_attributes(monkeypatch):
+    import pickle
+
+    from repro.ir.types import ScalarKind, scalar_from_mtype
+
+    table = {dtype: (dtype.is_integer, dtype.is_float, dtype.short_name)
+             for dtype in DType}
+    assert table == {
+        DType.CHAR: (False, False, "char"),
+        DType.LOGICAL: (False, False, "logical"),
+        DType.INT8: (True, False, "int8"),
+        DType.INT16: (True, False, "int16"),
+        DType.INT32: (True, False, "int32"),
+        DType.SINGLE: (False, True, "single"),
+        DType.DOUBLE: (False, True, "double"),
+    }
+    for dtype in DType:
+        assert "short_name" in vars(dtype)
+        # A member still pickles by its value alone.
+        assert dtype.__reduce_ex__(4) == (DType, (dtype.value,))
+        assert pickle.loads(pickle.dumps(dtype)) is dtype
+
+    def reference_join(a, b):
+        if {a, b} == {DType.SINGLE, DType.DOUBLE}:
+            return DType.SINGLE
+        if a.is_integer and b.is_float:
+            return a
+        if b.is_integer and a.is_float:
+            return b
+        return a if a.value >= b.value else b
+
+    joins = {(a, b): reference_join(a, b) for a in DType for b in DType}
+    kinds = {dtype: scalar_from_mtype(MType.scalar(dtype)).kind
+             for dtype in DType}
+    assert kinds[DType.CHAR] is ScalarKind.I8
+
+    def no_hash(self):
+        raise AssertionError(f"{self} hashed")
+
+    # join, short_name and the IR kind of a type hash no member.
+    monkeypatch.setattr(DType, "__hash__", no_hash)
+    for (a, b), joined in joins.items():
+        assert a.join(b) is joined
+    for dtype, kind in kinds.items():
+        assert dtype_from_name(dtype.short_name) is dtype
+        assert scalar_from_mtype(MType.scalar(dtype)).kind is kind
+    assert scalar_from_mtype(MType.scalar(DType.SINGLE, True)).kind is \
+        ScalarKind.C64
