@@ -139,7 +139,9 @@ class ProcessorDescription:
     description: str = ""
     costs: CostTable = field(default_factory=CostTable)
     instructions: list[Instruction] = field(default_factory=list)
-    _by_key: dict[tuple[str, ScalarKind, int], Instruction] = field(
+    #: Keyed by the kind's ``_value_`` string, which hashes in C; the
+    #: member hashes through ``Enum.__hash__``, ``.value`` costs more.
+    _by_key: dict[tuple[str, str, int], Instruction] = field(
         default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -150,7 +152,8 @@ class ProcessorDescription:
                     f"processor {self.name!r}: duplicate instruction "
                     f"{instr.name!r}")
             seen.add(instr.name)
-            self._by_key[(instr.operation, instr.elem, instr.lanes)] = instr
+            self._by_key[(instr.operation, instr.elem._value_,
+                          instr.lanes)] = instr
         self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
@@ -194,7 +197,7 @@ class ProcessorDescription:
 
     def find(self, operation: str, elem: ScalarKind, lanes: int) -> Instruction | None:
         """Exact-match lookup of an instruction."""
-        return self._by_key.get((operation, elem, lanes))
+        return self._by_key.get((operation, elem._value_, lanes))
 
     def simd_lanes(self, elem: ScalarKind) -> list[int]:
         """Available SIMD widths for ``elem``, widest first.

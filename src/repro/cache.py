@@ -72,7 +72,7 @@ _OPTION_FIELDS = ("mode", "scalar_opt", "inline", "simd", "complex_isel",
 #: the meaning of a cached :class:`CompilationResult` changes (IR
 #: layout, emitter output, option semantics); skewed entries then read
 #: as counted misses, never as wrong answers.
-CACHE_SCHEMA = "repro-cache-v2"
+CACHE_SCHEMA = "repro-cache-v3"
 
 
 #: ``stats()`` field -> counter name.  A :class:`CompilationCache`

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 from repro.ir import nodes as ir
+from repro.ir.affine import trip_count
 from repro.ir.passes.rewrite import rewrite_tree
 from repro.ir.types import ScalarKind, ScalarType
 
@@ -312,13 +313,8 @@ class ConstantFolding:
                 isinstance(stmt.condition, ir.Const) and \
                 not stmt.condition.value:
             return _REMOVE
-        if isinstance(stmt, ir.ForRange) and \
-                isinstance(stmt.start, ir.Const) and \
-                isinstance(stmt.stop, ir.Const):
-            if stmt.step > 0 and stmt.start.value >= stmt.stop.value:
-                return _REMOVE
-            if stmt.step < 0 and stmt.start.value <= stmt.stop.value:
-                return _REMOVE
+        if isinstance(stmt, ir.ForRange) and trip_count(stmt) == 0:
+            return _REMOVE
         return None
 
 

@@ -9,6 +9,7 @@ so a variable read after the loop still holds the same value.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
+from repro.ir.affine import scalar_reads, trip_count
 from repro.ir.passes.rewrite import assigned_vars
 from repro.observe import remarks as obs_remarks
 
@@ -37,7 +38,7 @@ class LoopInvariantCodeMotion:
         return changed
 
     def _hoist_from(self, loop: ir.ForRange) -> list[ir.Stmt]:
-        if not self._runs_at_least_once(loop):
+        if not trip_count(loop):
             return []
         loop_writes = assigned_vars(loop.body) | {loop.var}
         hoisted: list[ir.Stmt] = []
@@ -51,7 +52,8 @@ class LoopInvariantCodeMotion:
             # target: an accumulator whose RHS reads itself
             # (acc = acc + inv) is NOT invariant even though every
             # other operand is.
-            if not self._invariant(stmt.value, loop_writes):
+            reads = scalar_reads(stmt.value)
+            if reads is None or reads & loop_writes:
                 break
             if self._assign_count(loop.body, stmt.name) != 1:
                 break
@@ -63,22 +65,6 @@ class LoopInvariantCodeMotion:
                 function=self._func.name, line=stmt.line,
                 variable=stmt.name)
         return hoisted
-
-    def _runs_at_least_once(self, loop: ir.ForRange) -> bool:
-        if not (isinstance(loop.start, ir.Const) and
-                isinstance(loop.stop, ir.Const)):
-            return False
-        if loop.step > 0:
-            return loop.start.value < loop.stop.value
-        return loop.start.value > loop.stop.value
-
-    def _invariant(self, expr: ir.Expr, loop_writes: set[str]) -> bool:
-        for node in ir.walk_expr(expr):
-            if isinstance(node, (ir.Load, ir.VecLoad, ir.IntrinsicCall)):
-                return False
-            if isinstance(node, ir.VarRef) and node.name in loop_writes:
-                return False
-        return True
 
     def _assign_count(self, body: list[ir.Stmt], name: str) -> int:
         count = 0

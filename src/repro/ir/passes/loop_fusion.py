@@ -12,6 +12,7 @@ bigger body to convert.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
+from repro.ir.affine import Affine, affine
 from repro.ir.passes.rewrite import (
     assigned_vars,
     loaded_arrays,
@@ -88,11 +89,12 @@ class LoopFusion:
 
     def _index_only(self, body: list[ir.Stmt], arrays: set[str],
                     var: str) -> bool:
+        at_var = Affine({var: 1})
         for stmt in ir.walk_statements(body):
             if isinstance(stmt, (ir.Store, ir.VecStore)) and \
                     stmt.array in arrays:
                 index = stmt.index if isinstance(stmt, ir.Store) else stmt.base
-                if not self._is_loop_var(index, var):
+                if affine(index, (var,)) != at_var:
                     return False
             for expr in ir.statement_exprs(stmt):
                 for node in ir.walk_expr(expr):
@@ -100,12 +102,9 @@ class LoopFusion:
                             node.array in arrays:
                         index = node.index if isinstance(node, ir.Load) \
                             else node.base
-                        if not self._is_loop_var(index, var):
+                        if affine(index, (var,)) != at_var:
                             return False
         return True
-
-    def _is_loop_var(self, index: ir.Expr, var: str) -> bool:
-        return isinstance(index, ir.VarRef) and index.name == var
 
     def _fuse(self, a: ir.ForRange, b: ir.ForRange) -> None:
         if b.var != a.var:

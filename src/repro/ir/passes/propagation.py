@@ -17,6 +17,7 @@ fills then fold to one element type.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
+from repro.ir.affine import scalar_reads
 from repro.ir.passes.rewrite import assigned_vars, rewrite_stmt_exprs
 
 
@@ -116,22 +117,8 @@ class ConstantPropagation:
                 facts = [fact for fact in facts
                          if fact[0].array != stmt.array]
                 if isinstance(stmt.value, ir.Const):
-                    names = _index_names(stmt.index)
+                    names = scalar_reads(stmt.index)
                     if names is not None:
                         facts.append((stmt, names))
             elif isinstance(stmt, ir.AssignVar):
                 facts = [fact for fact in facts if stmt.name not in fact[1]]
-
-_PLAIN_INDEX_NODES = (ir.Const, ir.BinOp, ir.UnOp, ir.Cast)
-
-
-def _index_names(index: ir.Expr) -> set[str] | None:
-    """The scalar names ``index`` reads, or None when it reads an array
-    or calls anything (a store in between could change its value)."""
-    names: set[str] = set()
-    for node in ir.walk_expr(index):
-        if isinstance(node, ir.VarRef):
-            names.add(node.name)
-        elif not isinstance(node, _PLAIN_INDEX_NODES):
-            return None
-    return names

@@ -10,21 +10,22 @@ the inner trip-one loop)::
         T[i + j*1] = A[g(j)]
 
 When ``T`` is then read exactly once, as ``T[v]`` inside a loop over
-the same ``0 .. n``, the copy buys nothing: the read becomes ``A[g(v)]``
+the same range, the copy buys nothing: the read becomes ``A[g(v)]``
 and dead-code elimination deletes the nest and the temporary.  A
 candidate is forwarded only when all of these hold:
 
-* the nest is a top-level statement of exactly that shape (with or
-  without the inner loop), and ``g``
-  reads no array and no scalar but ``j`` that any statement of the
-  function writes (``i`` is one);
+* the nest is a top-level statement of that shape (with or without
+  the inner loop): its bounds are constants and, by
+  :func:`~repro.ir.affine.affine`, its store writes element ``j``;
+* ``g`` reads no array and no scalar but ``j`` that any statement of
+  the function writes (``i`` is one);
 * ``T`` is a local (not a parameter or output) written only by the nest
   and read exactly once, by a plain ``Load`` after the nest (a read by
   a ``Call`` or ``CopyArray`` is a read too);
 * the source ``A`` is written nowhere in the function;
 * the read's index is the induction variable ``v`` of its innermost
-  enclosing loop named ``v``, a loop over ``0 .. n`` with step 1, and
-  nothing else assigns ``v``.
+  enclosing loop named ``v``, a loop with the nest's bounds and step,
+  and nothing else assigns ``v``.
 
 The single-read rule matters: a slice read several times costs one
 index computation per forwarded read instead of one copy, which is a
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir import nodes as ir
+from repro.ir.affine import affine, scalar_reads, trip_count
 from repro.ir.types import ArrayType
 from repro.observe import remarks as obs_remarks
 
@@ -70,8 +72,9 @@ class SliceForwarding:
                     cand.source.array in array_writes:
                 continue
             outer = cand.nest.var
-            if cand.read.index.name in assigned or \
-                    not _stable(cand.source.index, outer, scalar_writes):
+            reads = scalar_reads(cand.source.index)
+            if cand.read.index.name in assigned or reads is None or \
+                    (reads - {outer}) & scalar_writes:
                 continue
             self._forward(cand, outer)
             obs_remarks.passed(
@@ -126,7 +129,8 @@ class SliceForwarding:
                 return
             loop = loops.get(load.index.name) \
                 if isinstance(load.index, ir.VarRef) else None
-            if loop is None or not _spans(loop, cand.nest):
+            if loop is None or (loop.start, loop.stop, loop.step) != \
+                    (cand.nest.start, cand.nest.stop, cand.nest.step):
                 cand.refused = True
                 return
             cand.read = load
@@ -186,65 +190,23 @@ class SliceForwarding:
 
 def _copy_store(stmt: ir.Stmt) -> ir.Store | None:
     """The store ``T[i + j*1] = A[g(j)]`` of a copy nest ``for j in
-    0..n: [for i in 0..1:] ...``, or None when ``stmt`` is not one."""
-    if not (isinstance(stmt, ir.ForRange) and _counts_from_zero(stmt)
-            and isinstance(stmt.stop, ir.Const) and len(stmt.body) == 1):
+    0..n: [for i in 0..1:] ...``, or None when ``stmt`` is not one: a
+    loop with constant bounds, optionally around a loop that runs once
+    with ``i = 0``, whose single store writes element ``j``."""
+    if not (isinstance(stmt, ir.ForRange) and
+            trip_count(stmt) is not None and len(stmt.body) == 1):
         return None
-    store, inner = stmt.body[0], None
-    if isinstance(store, ir.ForRange) and _counts_from_zero(store) and \
-            isinstance(store.stop, ir.Const) and store.stop.value == 1 \
-            and len(store.body) == 1:
-        store, inner = store.body[0], store.var
+    store, loop_vars = stmt.body[0], (stmt.var,)
+    if isinstance(store, ir.ForRange) and trip_count(store) == 1 and \
+            store.start.value == 0 and len(store.body) == 1:
+        store, loop_vars = store.body[0], (stmt.var, store.var)
     if not isinstance(store, ir.Store) or \
-            not _is_offset(store.index, inner, stmt.var):
+            not isinstance(store.value, ir.Load) or \
+            store.value.array == store.array:
         return None
-    value = store.value
-    if not isinstance(value, ir.Load) or value.array == store.array:
+    # As ``i`` is 0, its coefficient does not matter.
+    offset = affine(store.index, loop_vars)
+    if offset is None or offset.coeffs.get(stmt.var) != 1 or \
+            offset.constant or offset.terms:
         return None
     return store
-
-
-def _stable(index: ir.Expr, outer: str, scalar_writes: set[str]) -> bool:
-    """Does ``index`` read no array and no scalar but ``outer`` that
-    the function writes (the inner induction variable is one)?  Then
-    it means the same at the read as in the copy."""
-    for node in ir.walk_expr(index):
-        if isinstance(node, (ir.Load, ir.VecLoad, ir.IntrinsicCall)):
-            return False
-        if isinstance(node, ir.VarRef) and node.name != outer and \
-                node.name in scalar_writes:
-            return False
-    return True
-
-
-def _counts_from_zero(loop: ir.ForRange) -> bool:
-    return loop.step == 1 and isinstance(loop.start, ir.Const) and \
-        loop.start.value == 0
-
-
-def _spans(loop: ir.ForRange, nest: ir.ForRange) -> bool:
-    """Does ``loop`` run over exactly the copy nest's ``0 .. n``?"""
-    return _counts_from_zero(loop) and isinstance(loop.stop, ir.Const) \
-        and loop.stop.value == nest.stop.value
-
-
-def _is_offset(index: ir.Expr, inner: str | None, outer: str) -> bool:
-    """Is ``index`` the element ``outer`` once ``inner`` (which only
-    takes the value 0) is dropped: ``outer``, ``outer*1`` or ``inner +``
-    either of them, in any operand order?"""
-    if isinstance(index, ir.VarRef):
-        return index.name == outer
-    if not isinstance(index, ir.BinOp):
-        return False
-    left, right = index.left, index.right
-    if index.op == "mul":
-        if isinstance(left, ir.Const):
-            left, right = right, left
-        return isinstance(right, ir.Const) and right.value == 1 and \
-            isinstance(left, ir.VarRef) and left.name == outer
-    if index.op == "add" and inner is not None:
-        if isinstance(right, ir.VarRef) and right.name == inner:
-            left, right = right, left
-        return isinstance(left, ir.VarRef) and left.name == inner and \
-            _is_offset(right, inner, outer)
-    return False

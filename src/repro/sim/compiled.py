@@ -89,6 +89,7 @@ from repro.asip.operations import BINARY_SPLATS, OPERATIONS
 from repro.errors import SimulationError
 from repro.numeric import c_pow
 from repro.ir import nodes as ir
+from repro.ir.affine import trip_count
 from repro.ir.types import ArrayType, ScalarKind, ScalarType, VectorType
 from repro.sim.cost import CostModel, cycle_report, line_cycles
 from repro.sim.machine import (
@@ -788,14 +789,13 @@ class _FuncCodegen:
         iterations = f"range({start}, {stop}, {s.step})"
         lines = []
         flush = []
+        trip = trip_count(s)
         if any(_can_abrupt(st) for st in s.body):
             # An iteration may stop early: charge each one as it starts.
             flush = self.flush(body)
-        elif isinstance(s.start, ir.Const) and isinstance(s.stop, ir.Const):
+        elif trip is not None:
             # Every iteration charges the same: fold the whole loop into
             # the enclosing group at translate time.
-            trip = len(range(int(s.start.value), int(s.stop.value),
-                             s.step))
             if trip:
                 for key, count in body.items():
                     terms[key] += trip * count

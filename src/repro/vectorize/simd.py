@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.asip.model import ProcessorDescription
 from repro.ir import nodes as ir
+from repro.ir.affine import affine, trip_count
 from repro.ir.passes.rewrite import names_read, writes
 from repro.ir.types import I32, ScalarKind, ScalarType, VectorType
 from repro.observe import remarks as obs_remarks
@@ -214,10 +215,9 @@ class SimdVectorizer:
         widths = self.processor.simd_lanes(elem.kind)
         if not widths:
             return None
-        if not (isinstance(loop.start, ir.Const) and
-                isinstance(loop.stop, ir.Const)):
+        trips = trip_count(loop)
+        if trips is None:
             return widths[0]
-        trips = loop.stop.value - loop.start.value
         best_lanes = None
         best_cost = None
         for lanes in widths:
@@ -230,19 +230,21 @@ class SimdVectorizer:
 
     def _loop_element_type(self, loop: ir.ForRange) -> ScalarType | None:
         """The single element kind all memory traffic in the loop uses."""
-        kinds: set[ScalarKind] = set()
+        # Keyed by the value string, as ProcessorDescription.find keys.
+        kinds: dict[str, ScalarKind] = {}
         for stmt in ir.walk_statements(loop.body):
             for expr in ir.statement_exprs(stmt):
                 for node in ir.walk_expr(expr):
                     if isinstance(node, ir.Load):
-                        kinds.add(node.type.kind)
+                        kind = node.type.kind
+                        kinds[kind._value_] = kind
             if isinstance(stmt, ir.Store):
                 value_t = stmt.value.type
                 if isinstance(value_t, ScalarType):
-                    kinds.add(value_t.kind)
+                    kinds[value_t.kind._value_] = value_t.kind
         if len(kinds) != 1:
             return None
-        return ScalarType(kinds.pop())
+        return ScalarType(*kinds.values())
 
     def _plan_body(self, loop: ir.ForRange, elem: ScalarType,
                    lanes: int) -> list[tuple] | None:
@@ -263,7 +265,7 @@ class SimdVectorizer:
         reduced: set[str] = set()
         for stmt in loop.body:
             if isinstance(stmt, ir.Store):
-                stride = self._stride_of(stmt.index, var)
+                stride = self._stride(stmt.index, var)
                 if stride != 1:
                     self._missed(loop, "store into "
                                        f"{stmt.array!r} is not "
@@ -333,62 +335,11 @@ class SimdVectorizer:
                 return None
         return plan
 
-    # ------------------------------------------------------------------
-    # Stride analysis
-    # ------------------------------------------------------------------
-
-    def _stride_of(self, index: ir.Expr, var: str) -> int | None:
-        """d(index)/d(var) when index is affine in var; None otherwise."""
-        if isinstance(index, ir.VarRef):
-            return 1 if index.name == var else 0
-        if isinstance(index, ir.Const):
-            return 0
-        if isinstance(index, ir.Cast):
-            return self._stride_of(index.operand, var)
-        if isinstance(index, ir.BinOp):
-            left = self._stride_of(index.left, var)
-            right = self._stride_of(index.right, var)
-            if left is None or right is None:
-                return None
-            if index.op == "add":
-                return left + right
-            if index.op == "sub":
-                return left - right
-            if index.op == "mul":
-                if left == 0 and isinstance(index.left, ir.Const):
-                    return right * int(index.left.value)
-                if right == 0 and isinstance(index.right, ir.Const):
-                    return left * int(index.right.value)
-                if left == 0 and right == 0:
-                    return 0
-                return None
-            if left == 0 and right == 0:
-                return 0
-            return None
-        if isinstance(index, ir.UnOp) and index.op == "neg":
-            inner = self._stride_of(index.operand, var)
-            return None if inner is None else -inner
-        # Loads/calls: invariant only if they don't mention var at all.
-        for node in ir.walk_expr(index):
-            if isinstance(node, ir.VarRef) and node.name == var:
-                return None
-            if isinstance(node, (ir.Load, ir.IntrinsicCall)):
-                return None
-        return 0
-
-    def _is_invariant(self, expr: ir.Expr, var: str) -> bool:
-        for node in ir.walk_expr(expr):
-            if isinstance(node, ir.VarRef) and (
-                    node.name == var or node.name in self._loop_writes):
-                return False
-            if isinstance(node, ir.Load):
-                if node.array in self._stored_in_loop:
-                    return False
-                if not self._is_invariant(node.index, var):
-                    return False
-            if isinstance(node, ir.IntrinsicCall):
-                return False
-        return True
+    def _stride(self, expr: ir.Expr, var: str) -> int | None:
+        """How much ``expr`` moves per step of ``var`` (0: invariant), or
+        None when it is not affine or reads what the loop writes."""
+        form = affine(expr, (var,), self._loop_writes, self._stored_in_loop)
+        return None if form is None else form.coeffs.get(var, 0)
 
     # ------------------------------------------------------------------
     # Expression vectorization
@@ -399,10 +350,8 @@ class SimdVectorizer:
                         vector_temps: dict[str, VectorType]) -> ir.Expr | None:
         vtype = VectorType(elem, lanes)
 
-        if isinstance(expr, ir.Load):
-            if expr.type != elem:
-                return None
-            stride = self._stride_of(expr.index, var)
+        if isinstance(expr, ir.Load) and expr.type == elem:
+            stride = self._stride(expr.index, var)
             if stride == 1:
                 instr = self.processor.find("vload", elem.kind, lanes)
                 if instr is None:
@@ -422,23 +371,10 @@ class SimdVectorizer:
                                 right=ir.Const(I32, lanes - 1))
                 return ir.VecLoad(vtype, array=expr.array, base=base,
                                   instruction=instr, reverse=True)
-            if stride == 0 and self._is_invariant(expr, var):
+            if stride == 0 and expr.array not in self._stored_in_loop:
                 return self._splat(ir.clone(expr), elem, lanes)
-            return None
-
-        if isinstance(expr, ir.Const):
-            if expr.type != elem:
-                return None
-            return self._splat(ir.clone(expr), elem, lanes)
-
-        if isinstance(expr, ir.VarRef):
-            if expr.name in vector_temps:
-                return ir.VarRef(vector_temps[expr.name], expr.name)
-            if expr.name == var or expr.name in self._loop_writes:
-                return None
-            if expr.type != elem:
-                return None
-            return self._splat(ir.clone(expr), elem, lanes)
+        if isinstance(expr, ir.VarRef) and expr.name in vector_temps:
+            return ir.VarRef(vector_temps[expr.name], expr.name)
 
         rows = candidates(_LANE_ROWS, expr)
         if rows:
@@ -455,9 +391,9 @@ class SimdVectorizer:
             # No lane op: not even an invariant BinOp is splatted.
             return None
 
-        # Loop-invariant scalar subexpression of the right type: splat it.
+        # A loop-invariant scalar of the element type is splatted.
         if isinstance(expr.type, ScalarType) and expr.type == elem and \
-                self._is_invariant(expr, var):
+                self._stride(expr, var) == 0:
             return self._splat(ir.clone(expr), elem, lanes)
         return None
 
@@ -507,9 +443,8 @@ class SimdVectorizer:
         out: list[ir.Stmt] = []
 
         # Trip-count split: main = start + floor((stop-start)/VL)*VL.
-        if isinstance(loop.start, ir.Const) and isinstance(loop.stop,
-                                                           ir.Const):
-            trips = loop.stop.value - loop.start.value
+        trips = trip_count(loop)
+        if trips is not None:
             main_stop: ir.Expr = ir.Const(
                 I32, loop.start.value + (trips // lanes) * lanes)
         else:

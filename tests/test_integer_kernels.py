@@ -3,9 +3,10 @@
 DSP ASIPs are predominantly integer machines; the ISA library carries
 i16/i32 SIMD groups.  These tests cover MATLAB's integer-dominance
 promotion rule, int16/int32 lowering, and SIMD selection on integer
-loops.  Arithmetic stays within range everywhere — the compiled code
-has C wrap-around semantics, not MATLAB saturation (documented subset
-deviation).
+loops.  Arithmetic stays within range everywhere: an overflow does not
+saturate as in MATLAB.  The emitted C does not wrap either (signed
+overflow is undefined behaviour in C89), and the compiled simulator
+raises ``OverflowError`` (ROADMAP item 4).
 """
 
 import numpy as np

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.asip.isa_library import (
     generic_scalar_dsp,
@@ -22,6 +23,7 @@ from repro.vectorize.simd import SimdVectorizer
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import default_workloads, workload_by_name  # noqa: E402
+from helpers import HAVE_GCC  # noqa: E402
 
 CORPUS = Path(__file__).parent / "fuzz_corpus"
 
@@ -210,6 +212,55 @@ end
     used = instructions_used(result, [x])
     assert not any(name.startswith("vload") for name in used)
     assert_matches_golden(result, STRIDED, "pick", [x])
+
+
+INDEXED_LOOP = """
+function y = f(x, z)
+y = zeros(1, 48);
+for i = 1:32
+BODY
+end
+end
+"""
+
+
+def _indexed_loop(body):
+    """Compile ``INDEXED_LOOP`` around ``body``; return the set of simd
+    remark kinds on the loop after checking every build and engine
+    against the interpreter."""
+    source = INDEXED_LOOP.replace("BODY", body)
+    args = [arg((1, 32)), arg((1, 64))]
+    x = np.zeros((1, 32))
+    x[0, :4] = [0, 8, 16, 0]
+    z = np.arange(1.0, 65.0).reshape(1, 64)
+    optimized = compiled(source, args, use_cache=False)
+    baseline = compiled(source, args, options=CompilerOptions.baseline(),
+                        use_cache=False)
+    golden = np.asarray(MatlabInterpreter(source).call("f", [x, z])[0])
+    for result in (optimized, baseline):
+        for backend in ("compiled", "native") if HAVE_GCC else ("compiled",):
+            run = result.simulate([x, z], backend=backend)
+            np.testing.assert_array_equal(np.asarray(run.outputs[0]), golden)
+    loop_line = source.splitlines().index("for i = 1:32") + 1
+    return {r.kind for r in optimized.remarks
+            if r.pass_name == "simd-vectorize" and r.line == loop_line}
+
+
+@pytest.mark.parametrize("body", ["  k = x(i);\n  y(i) = z(i + k);",
+                                  "  k = x(i);\n  y(i + k) = z(i);"],
+                         ids=["load", "store"])
+def test_index_reading_a_loop_written_scalar_stays_scalar(body):
+    # Vectorized, both loops read ``k`` (a vector temporary there) as
+    # if it were loop-invariant.
+    assert _indexed_loop(body) == {"missed"}
+
+
+@pytest.mark.parametrize("body", ["  y(i) = z(x(2) + i);",
+                                  "  y(i + x(3)) = z(i);"],
+                         ids=["load", "store"])
+def test_index_reading_an_invariant_load_vectorizes(body):
+    # ``x`` is not written in the loop, so ``x(2)`` is an invariant term.
+    assert _indexed_loop(body) == {"passed"}
 
 
 def test_live_out_loop_variable_blocks_vectorization():
