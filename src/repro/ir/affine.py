@@ -3,9 +3,9 @@
 Every loop pass asks what scalars an expression reads
 (:func:`scalar_reads`), how an index moves with the enclosing loops and
 whether the loop can change it (:func:`affine`), and how many times a
-loop runs (:func:`trip_count`).  Casts are taken to keep an index's
-value, as they do in the ``cast<i32>(cast<f64>(i) ...)`` chains the
-lowerer builds.
+loop runs (:func:`trip_count`).  Casts to ``i32``, ``f32`` and ``f64``
+are taken to keep an index's value, as they do in the
+``cast<i32>(cast<f64>(i) ...)`` chains the lowerer builds.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.ir import nodes as ir
+from repro.ir.types import ScalarKind
 
 
 def scalar_reads(expr: ir.Expr) -> set[str] | None:
@@ -37,6 +38,11 @@ class Affine(NamedTuple):
     constant: int = 0
     terms: tuple[tuple[int, ir.Expr], ...] = ()
 
+
+#: The kinds a cast of an index keeps the value in: a narrower integer
+#: class would saturate or wrap it.  A tuple: a set would hash the
+#: members through ``Enum.__hash__``.
+_KEEPING = (ScalarKind.I32, ScalarKind.F32, ScalarKind.F64)
 
 # Affine's fields as a plain tuple, which is cheaper to build.
 _Form = tuple[dict[str, int], int, tuple[tuple[int, ir.Expr], ...]]
@@ -88,7 +94,7 @@ def _form(expr: ir.Expr, scope: tuple) -> _Form | None:
         if isinstance(expr.value, (int, float)) and \
                 float(expr.value).is_integer():
             return {}, int(expr.value), ()
-    elif cls is ir.Cast:
+    elif cls is ir.Cast and expr.type.kind in _KEEPING:
         return _form(expr.operand, scope)
     elif cls is ir.UnOp and expr.op == "neg":
         inner = _form(expr.operand, scope)

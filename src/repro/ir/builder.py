@@ -26,6 +26,7 @@ from repro.errors import LoweringError, UnsupportedFeatureError
 from repro.frontend import ast_nodes as ast
 from repro.ir import nodes as ir
 from repro.ir.types import (
+    EXACT_INTEGERS,
     ArrayType,
     I32,
     IRType,
@@ -1040,8 +1041,8 @@ class _FunctionLowerer:
             return ir.Const(result_t, value)
 
         if builtin.kind == "cast":
-            arg = self.lower_scalar(expr.args[0])
-            return ir.Cast(result_t, operand=arg)
+            return self._class_cast(self.lower_scalar(expr.args[0]),
+                                    result_t)
 
         if name == "complex":
             real = self.lower_scalar(expr.args[0])
@@ -1307,14 +1308,34 @@ class _FunctionLowerer:
         except TypeError:
             return ir.Cast(target, operand=expr)
 
+    def _class_cast(self, value: ir.Expr, target: ScalarType) -> ir.Expr:
+        """``int8(value)`` and the other class conversions.  Narrowing
+        an integer saturates, as in MATLAB (a C conversion would wrap):
+        the value is clamped to the target's range in ``I32`` first."""
+        source = value.type.kind if isinstance(value.type, ScalarType) \
+            else None
+        if target.kind in (ScalarKind.I8, ScalarKind.I16) and \
+                source is not None and source.is_integer:
+            low, high = EXACT_INTEGERS[target.kind]
+            if EXACT_INTEGERS[source][0] < low or \
+                    EXACT_INTEGERS[source][1] > high:
+                value = ir.BinOp(
+                    I32, op="max",
+                    left=ir.BinOp(I32, op="min", left=self.as_i32(value),
+                                  right=ir.Const(I32, high)),
+                    right=ir.Const(I32, low))
+        return ir.Cast(target, operand=value)
+
     def as_i32(self, expr: ir.Expr) -> ir.Expr:
         if isinstance(expr.type, ScalarType) and \
                 expr.type.kind is ScalarKind.I32:
             return expr
         if isinstance(expr, ir.Const) and not isinstance(expr.value, complex):
             return ir.Const(I32, int(float(expr.value)))
-        if isinstance(expr, ir.Cast) and isinstance(expr.operand.type,
-                                                    ScalarType) and \
+        # An index's i32 converted to a float and back keeps its value;
+        # a conversion to a narrower integer class does not.
+        if isinstance(expr, ir.Cast) and expr.type.is_float and \
+                isinstance(expr.operand.type, ScalarType) and \
                 expr.operand.type.kind is ScalarKind.I32:
             return expr.operand
         return ir.Cast(I32, operand=expr)
@@ -1553,8 +1574,8 @@ class _FunctionLowerer:
                     arg = self._scalarize(expr.args[0], k, hoisted)
                     return self._math1(name, arg, result_t)
                 if name in _CAST_BUILTINS:
-                    arg = self._scalarize(expr.args[0], k, hoisted)
-                    return ir.Cast(result_t, operand=arg)
+                    return self._class_cast(
+                        self._scalarize(expr.args[0], k, hoisted), result_t)
                 if name == "complex":
                     real = self._scalarize(expr.args[0], k, hoisted)
                     imag = self._scalarize(expr.args[1], k, hoisted) \

@@ -222,13 +222,8 @@ class ConstantFolding:
             if folded is not None:
                 self._changed = True
                 return folded
-        # i32 <- f64 <- i32 round trip.
-        if target.kind is ScalarKind.I32 and isinstance(operand, ir.Cast) \
-                and isinstance(operand.operand.type, ScalarType) and \
-                operand.operand.type.kind is ScalarKind.I32:
-            self._changed = True
-            return operand.operand
-        # Narrow integer-valued float arithmetic under an i32 cast.
+        # Narrow integer-valued float arithmetic under an i32 cast (an
+        # i32 <- f64 <- i32 round trip included).
         if target.kind is ScalarKind.I32:
             narrowed = self._narrow_to_i32(operand)
             if narrowed is not None:
@@ -242,8 +237,10 @@ class ConstantFolding:
         Sound because every intermediate value is an exact integer well
         inside both f64's exact range and i32 (array extents).
         """
-        if isinstance(expr, ir.Cast) and isinstance(expr.operand.type,
-                                                    ScalarType) and \
+        # A float holds an i32 index exactly; a narrower integer class
+        # would saturate it.
+        if isinstance(expr, ir.Cast) and expr.type.is_float and \
+                isinstance(expr.operand.type, ScalarType) and \
                 expr.operand.type.kind is ScalarKind.I32:
             return expr.operand
         if isinstance(expr, ir.Const) and not isinstance(expr.value,

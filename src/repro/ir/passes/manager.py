@@ -108,11 +108,13 @@ def standard_pipeline() -> PassManager:
     from repro.ir.passes.loop_fusion import LoopFusion
     from repro.ir.passes.propagation import ConstantPropagation
     from repro.ir.passes.slice_forwarding import SliceForwarding
+    from repro.ir.passes.while_to_for import WhileToFor
 
     return PassManager(passes=[
         SliceForwarding(),
         ConstantPropagation(),
         ConstantFolding(),
+        WhileToFor(),
         LoopFusion(),
         LoopInvariantCodeMotion(),
         DeadCodeElimination(),

@@ -10,14 +10,38 @@ ExprRewriter = Callable[[ir.Expr], ir.Expr]
 
 
 def rewrite_expr(expr: ir.Expr, fn: ExprRewriter) -> ir.Expr:
-    """Bottom-up rewrite: children first, then ``fn`` on the node."""
+    """Bottom-up rewrite: children first, then ``fn`` on the node.
+
+    A child is written back only when its rewrite is a new node, and a
+    list is rebuilt only when one of its items is.
+    """
     for name, many in ir.EXPR_SLOTS[type(expr)]:
         child = getattr(expr, name)
         if many:
-            setattr(expr, name, [rewrite_expr(a, fn) for a in child])
+            items = _rewrite_items(child, fn)
+            if items is not child:
+                setattr(expr, name, items)
         elif child is not None:
-            setattr(expr, name, rewrite_expr(child, fn))
+            new = rewrite_expr(child, fn)
+            if new is not child:
+                setattr(expr, name, new)
     return fn(expr)
+
+
+def _rewrite_items(items: list, fn: ExprRewriter) -> list:
+    """``items`` with every ``Expr`` rewritten: the same list when no
+    item changed, else a new one."""
+    for index, item in enumerate(items):
+        if isinstance(item, ir.Expr):
+            new = rewrite_expr(item, fn)
+            if new is not item:
+                out = items[:index]
+                out.append(new)
+                out.extend(rewrite_expr(a, fn)
+                           if isinstance(a, ir.Expr) else a
+                           for a in items[index + 1:])
+                return out
+    return items
 
 
 def rewrite_stmt_exprs(stmt: ir.Stmt, fn: ExprRewriter) -> None:
@@ -26,11 +50,13 @@ def rewrite_stmt_exprs(stmt: ir.Stmt, fn: ExprRewriter) -> None:
     for name, many in ir.STMT_EXPR_SLOTS[type(stmt)]:
         value = getattr(stmt, name)
         if many:
-            setattr(stmt, name, [rewrite_expr(a, fn)
-                                 if isinstance(a, ir.Expr) else a
-                                 for a in value])
+            items = _rewrite_items(value, fn)
+            if items is not value:
+                setattr(stmt, name, items)
         elif value is not None:
-            setattr(stmt, name, rewrite_expr(value, fn))
+            new = rewrite_expr(value, fn)
+            if new is not value:
+                setattr(stmt, name, new)
 
 
 def rewrite_tree(body: list[ir.Stmt], fn: ExprRewriter) -> None:

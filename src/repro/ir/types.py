@@ -112,6 +112,16 @@ F64 = ScalarType(ScalarKind.F64)
 C64 = ScalarType(ScalarKind.C64)
 C128 = ScalarType(ScalarKind.C128)
 
+#: The integers each real kind holds exactly, as an inclusive range.
+EXACT_INTEGERS = {
+    ScalarKind.BOOL: (0, 1),
+    ScalarKind.I8: (-2 ** 7, 2 ** 7 - 1),
+    ScalarKind.I16: (-2 ** 15, 2 ** 15 - 1),
+    ScalarKind.I32: (-2 ** 31, 2 ** 31 - 1),
+    ScalarKind.F32: (-2 ** 24, 2 ** 24),
+    ScalarKind.F64: (-2 ** 53, 2 ** 53),
+}
+
 #: By ``DType.short_name``: a string key hashes in C, an enum member
 #: through ``Enum.__hash__``.
 _DTYPE_TO_KIND = {

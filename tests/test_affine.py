@@ -5,7 +5,7 @@ import pytest
 
 from repro.ir import nodes as ir
 from repro.ir.affine import Affine, affine, scalar_reads, trip_count
-from repro.ir.types import F64, I32
+from repro.ir.types import F64, I32, ScalarKind, ScalarType
 
 
 def var(name, ty=I32):
@@ -74,6 +74,9 @@ CASES = {
                None),
     "load_of_written_array": (binop("add", i, load("y", const(0), I32)),
                               ("i",), set(), {"y"}, None),
+    # int8(i) saturates, so it does not move with i.
+    "narrowing_cast": (cast(I32, cast(ScalarType(ScalarKind.I8), i)),
+                       ("i",), set(), set(), None),
     "load_of_unwritten_array": (
         binop("add", i, load("p", const(0), I32)), ("i",), set(), {"y"},
         Affine({"i": 1}, terms=((1, load("p", const(0), I32)),))),

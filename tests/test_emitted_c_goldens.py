@@ -129,11 +129,12 @@ def test_goldens_cover_exactly_the_corpus():
 def test_goldens_hold_the_compile_corpus_totals():
     # The optimized vliw_simd_dsp builds are the ones the compile
     # benchmark counts (its baseline builds run no passes): 50 pass
-    # rounds and 23 vectorized loops over the ten kernels.  Ten of
+    # rounds and 25 vectorized loops over the ten kernels.  Ten of
     # inv3x3's row operations read its input in place at stride 9 since
     # slice forwarding, and stay scalar; the complex(zeros, zeros) fills
     # of fft, channel_est and bf_weights vectorize since constant
-    # element stores are forwarded.
+    # element stores are forwarded, and qr_gs's two inlined col_dot
+    # while loops since counted while loops become for loops.
     records = [record for key, record
                in json.loads(GOLDENS.read_text()).items()
                if key.endswith("/opt/vliw_simd_dsp")]
@@ -141,7 +142,7 @@ def test_goldens_hold_the_compile_corpus_totals():
     assert sum(n for record in records
                for name, n in record["pass_stats"].items()
                if name.startswith("rounds[")) == 50
-    assert sum(record["loops_vectorized"] for record in records) == 23
+    assert sum(record["loops_vectorized"] for record in records) == 25
 
 
 def test_goldens_hold_the_lowered_node_total():

@@ -12,6 +12,7 @@ raises ``OverflowError`` (ROADMAP item 4).
 import numpy as np
 import pytest
 
+from helpers import HAVE_GCC, golden_outputs
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.ir.verifier import verify_module
 from repro.semantics.inference import specialize_program
@@ -141,3 +142,27 @@ end
                               options=CompilerOptions.baseline())
     assert optimized.simulate([x]).outputs[0] == \
         baseline.simulate([x]).outputs[0]
+
+
+@pytest.mark.parametrize("conversion, limit", [("int8", 127),
+                                               ("int16", 32767)])
+def test_integer_conversion_in_an_index_saturates(conversion, limit):
+    # int8(k) is 127 for every k >= 127: the conversion stays in the
+    # index and saturates instead of being dropped (or wrapping in C).
+    n = 160 if conversion == "int8" else 8
+    src = (f"function y = f(x, b)\ny = zeros(1, {n});\nfor k = 1:{n}\n"
+           f"    y(k) = x({conversion}(k + b));\nend\nend\n")
+    args = [arg((1, limit + 1)), arg(dtype="int32")]
+    x = np.arange(1.0, limit + 2.0).reshape(1, -1)
+    b = np.int32(limit - 100 if conversion == "int8" else limit - 4)
+    golden = np.asarray(golden_outputs(src, "f", [x, b])[0])
+    assert golden.max() == limit
+    for options in (CompilerOptions(), CompilerOptions.baseline()):
+        result = compile_source(src, args=args, options=options,
+                                use_cache=False)
+        verify_module(result.module)
+        for backend in ("compiled", "native") if HAVE_GCC else \
+                ("compiled",):
+            run = result.simulate([x, b], backend=backend)
+            np.testing.assert_array_equal(
+                np.atleast_2d(np.asarray(run.outputs[0])), golden)

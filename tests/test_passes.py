@@ -725,3 +725,57 @@ def test_fixpoint_bound_and_empty_pipeline_keep_their_round_counts():
     assert stats == {"a": 3, "rounds[t]": 3}
     assert (restless.runs, quiet.runs) == (3, 3)
     assert PassManager([]).run(_one_function()) == {"rounds[t]": 1}
+
+
+def _fields(body: list[ir.Stmt]):
+    """(node, field, value) of every child and list field in ``body``."""
+    for stmt in ir.walk_statements(body):
+        for name in ir.STMT_FIELDS[type(stmt)]:
+            if not isinstance(name, ir.Block):
+                yield stmt, name, getattr(stmt, name)
+        for expr in ir.statement_exprs(stmt):
+            for node in ir.walk_expr(expr):
+                for name in ir.EXPR_FIELDS[type(node)]:
+                    yield node, name, getattr(node, name)
+
+
+def test_identity_rewrite_writes_nothing_back():
+    from repro.ir.passes.rewrite import rewrite_tree
+    lists = 0
+    for kernel in default_workloads():
+        module = _inlined(kernel)
+        for func in module.functions:
+            before = list(_fields(func.body))
+            lists += sum(isinstance(name, ir.Many) for _, name, _ in before)
+            rewrite_tree(func.body, lambda expr: expr)
+            for node, name, value in before:
+                assert getattr(node, name) is value, (kernel.name, name)
+    assert lists > 0
+
+
+def test_rewrite_rebuilds_only_the_list_that_changed():
+    from repro.ir.passes.rewrite import rewrite_stmt_exprs
+    f64 = ScalarType(ScalarKind.F64)
+    one, two = ir.Const(f64, 1.0), ir.Const(f64, 2.0)
+    inner = ir.MathCall(f64, name="atan2", args=[one, two])
+    stmt = ir.Emit(format="%g %g", args=[inner, ir.Const(f64, 3.0)])
+    args, inner_args = stmt.args, inner.args
+
+    def double_two(expr):
+        return ir.Const(f64, 4.0) if expr is two else expr
+
+    rewrite_stmt_exprs(stmt, double_two)
+    assert stmt.args is args and stmt.args[0] is inner
+    assert inner.args is not inner_args
+    assert [a.value for a in inner.args] == [1.0, 4.0]
+
+
+def test_folding_keeps_a_narrowing_round_trip():
+    # cast<i32>(cast<i8>(k)) is not k: only a float in the middle keeps
+    # every i32 value.
+    i8 = ScalarType(ScalarKind.I8)
+    for middle, folds in ((ScalarType(ScalarKind.F64), True), (i8, False)):
+        func = ir.IRFunction(name="t", body=[ir.AssignVar("y", ir.Cast(
+            I32, operand=ir.Cast(middle, operand=ir.VarRef(I32, "k"))))])
+        ConstantFolding().run(func)
+        assert isinstance(func.body[0].value, ir.VarRef) is folds
